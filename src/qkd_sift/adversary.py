@@ -151,11 +151,6 @@ class EveStrategy:
     behavior: Behavior
 
 
-def next_action(strategy: EveStrategy, prefix: "Transcript", rng: RandomStream) -> ChannelOp:
-    """Ask the strategy for the channel op of the upcoming round."""
-    return strategy.behavior(prefix, rng)
-
-
 def make_strategy(cfg: StrategyConfig) -> EveStrategy:
     """Compile a configuration into an executable strategy."""
     if isinstance(cfg, IdentityLossy):

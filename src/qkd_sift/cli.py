@@ -4,7 +4,8 @@ The JSON config schema lives in docs/config-schema.json and the CSV column
 contracts in docs/output-formats.md; both are versioned through the
 ``qkd-sift/v1`` schema tag that every JSON artifact carries.  Reports never
 embed timestamps or host details, so a (config, seed) pair maps to one exact
-output byte sequence regardless of worker count.
+output byte sequence.  Trials run in index order on one thread; the
+``QKD_SIFT_THREADS`` environment variable is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -291,34 +290,11 @@ def emit_config(cfg: RunConfig, path: str) -> None:
 # Mode runners
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QKD_SIFT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"QKD_SIFT_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"QKD_SIFT_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _povm_for(cfg: RunConfig) -> BobPOVM:
     return ideal_povm() if cfg.eta_det == 1.0 else detection_povm(cfg.eta_det)
 
 
-def _map_trials(
-    cfg: RunConfig, fn: Callable[[int], dict], workers: int
-) -> list[dict]:
-    """Evaluate fn over trial indices, in index order regardless of workers."""
-    if workers > 1 and cfg.trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(cfg.trials)))
-    return [fn(i) for i in range(cfg.trials)]
-
-
-def _session_mode(cfg: RunConfig, workers: int) -> tuple[dict, list[str], list[list]]:
+def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
     povm = _povm_for(cfg)
     eve = make_strategy(cfg.strategy)
     runner = run_actual if cfg.mode == "actual" else run_virtual
@@ -340,15 +316,13 @@ def _session_mode(cfg: RunConfig, workers: int) -> tuple[dict, list[str], list[l
             rec["sifted"] = sifted_to_json(sifted)
         return rec
 
-    records = _map_trials(cfg, one, workers)
+    records = [one(i) for i in range(cfg.trials)]
     header = ["trial", "n_rounds", "n_detected", "n_z", "n_x", "x_error_weight"]
     rows = [[r[c] for c in header] for r in records]
     return {"per_trial": records}, header, rows
 
 
-def _estimation_mode(
-    cfg: RunConfig, workers: int
-) -> tuple[dict, list[str], list[list]]:
+def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
     povm = _povm_for(cfg)
     eve = make_strategy(cfg.strategy)
 
@@ -371,7 +345,7 @@ def _estimation_mode(
             "relation_residual": stats.relation_check(run),
         }
 
-    records = _map_trials(cfg, one, workers)
+    records = [one(i) for i in range(cfg.trials)]
     header = [
         "trial",
         "n_detected",
@@ -387,14 +361,13 @@ def _estimation_mode(
     return {"per_trial": records}, header, rows
 
 
-def _coverage_mode(cfg: RunConfig, workers: int) -> tuple[dict, list[str], list[list]]:
+def _coverage_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
     eve = make_strategy(cfg.strategy)
     trial_stats = stats.coverage_trials(
         cfg.params,
         eve,
         cfg.trials,
         derive_stream(cfg.seed, 0),
-        workers=workers,
         povm=_povm_for(cfg),
     )
     report = stats.coverage_report(trial_stats, cfg.params.delta)
@@ -552,13 +525,12 @@ def emit_report(
 
 def run(cfg: RunConfig) -> int:
     """Dispatch one validated config and write its artifact."""
-    workers = _worker_count()
     if cfg.mode in ("actual", "virtual"):
-        results, header, rows = _session_mode(cfg, workers)
+        results, header, rows = _session_mode(cfg)
     elif cfg.mode == "estimation":
-        results, header, rows = _estimation_mode(cfg, workers)
+        results, header, rows = _estimation_mode(cfg)
     elif cfg.mode == "coverage":
-        results, header, rows = _coverage_mode(cfg, workers)
+        results, header, rows = _coverage_mode(cfg)
     elif cfg.mode == "bias":
         results, header, rows = _bias_mode(cfg)
     else:

@@ -1,6 +1,6 @@
 """Protocol sessions: iterative sifting until enough rounds are detected.
 
-Three executable variants share one round structure:
+Three executable pictures run on one round loop, :func:`_session`:
 
 * :func:`run_actual`   — prepare-and-measure.  Alice sends a random source
   state; Bob applies his three-outcome measurement; both announce.  Runs on
@@ -46,7 +46,6 @@ from .errors import (
     ValidationError,
 )
 from .quantum_core import (
-    BRANCH_EPS,
     Basis,
     BobPOVM,
     ChannelOp,
@@ -249,8 +248,8 @@ def derive_stream(master_seed: int, index: int) -> RandomStream:
     """Stream for trial ``index`` of a run seeded with ``master_seed``.
 
     Counter construction: the child seed is ``(master_seed << 64) + index``,
-    injective over (u64 seed, index), so trial streams are identical no matter
-    how trials are scheduled over workers.
+    injective over (u64 seed, index), so a trial's stream depends on its
+    index alone, not on which trials ran before it.
     """
     if not 0 <= master_seed < 2**64:
         raise ValidationError(f"master seed must be a u64, got {master_seed!r}")
@@ -408,11 +407,14 @@ def _kernel_for(povm: BobPOVM) -> _RoundKernel:
 
 
 # ---------------------------------------------------------------------------
-# Session loops
+# Session engine
 
-
-def _check_secure_rule(params: ProtocolParams) -> CountDetected:
-    return CountDetected(params.n_det_ter)
+# The three pictures of one session.  They share every announcement and the
+# termination rule; :func:`_session` branches on them only where the pictures
+# really differ.
+_ACTUAL = "actual"
+_VIRTUAL = "virtual"
+_ESTIMATION = "estimation"
 
 
 def run_actual(
@@ -423,9 +425,7 @@ def run_actual(
 ) -> tuple[Transcript, SiftedData]:
     """Prepare-and-measure session; stops at exactly n_det_ter detections."""
     povm = povm if povm is not None else ideal_povm()
-    rule = _check_secure_rule(params)
-    transcript, sifted, _ = _actual_loop(params, eve, rng, povm, rule)
-    return transcript, sifted
+    return _session(params, eve, rng, povm, CountDetected(params.n_det_ter), _ACTUAL)
 
 
 def run_insecure_termination(
@@ -443,104 +443,7 @@ def run_insecure_termination(
     if not isinstance(rule, CountPerBasis):
         raise ValidationError("run_insecure_termination requires a CountPerBasis rule")
     povm = povm if povm is not None else ideal_povm()
-    transcript, sifted, _ = _actual_loop(params, eve, rng, povm, rule)
-    return transcript, sifted
-
-
-def _actual_loop(
-    params: ProtocolParams,
-    eve: EveStrategy,
-    rng: RandomStream,
-    povm: BobPOVM,
-    rule: TerminationRule,
-) -> tuple[Transcript, SiftedData, int]:
-    kernel = _kernel_for(povm)
-    eve_rng = _eve_stream(rng)
-    behavior = eve.behavior
-    rand = rng.random
-    getrandbits = rng.getrandbits
-
-    p_z_a = params.p_z_a
-    p_z_b = params.p_z_b
-    batch = params.batch_size
-    max_rounds = params.max_rounds
-    Z, X = Basis.Z, Basis.X
-
-    counting_detected = isinstance(rule, CountDetected)
-    det_target = rule.n if counting_detected else 0
-    nz_req = nx_req = 0
-    if not counting_detected:
-        nz_req, nx_req = rule.n_z_req, rule.n_x_req
-
-    rounds: list[RoundRecord] = []
-    transcript = Transcript(params=params, rounds=rounds)
-    az: list[int] = []
-    bz: list[int] = []
-    ax: list[int] = []
-    bx: list[int] = []
-    n_det = 0
-    idx = 0
-
-    def done() -> bool:
-        if counting_detected:
-            return n_det >= det_target
-        return len(az) >= nz_req and len(ax) >= nx_req
-
-    while not done():
-        if idx >= max_rounds:
-            raise MaxRoundsExceeded(
-                f"no termination after {idx} rounds ({n_det} detected)"
-            )
-        for _ in range(batch):
-            if idx >= max_rounds:
-                break
-            idx += 1
-            law = kernel.actual(behavior(transcript, eve_rng))
-            a_is_z = rand() < p_z_a
-            a_bit = getrandbits(1)
-            p_del = law.p_deliver[a_bit][0 if a_is_z else 1]
-            delivered = rand() < p_del
-            b_is_z = rand() < p_z_b
-            detected = False
-            b_bit = 0
-            if delivered:
-                c0, c1 = law.outcome_cum[a_bit][0 if a_is_z else 1][0 if b_is_z else 1]
-                u = rand()
-                if u < c0:
-                    detected = True
-                elif u < c1:
-                    detected = True
-                    b_bit = 1
-            if detected and counting_detected and n_det >= det_target:
-                # Threshold filled while this round was in flight: announce it
-                # as non-detected so the detected count stays exact.
-                detected = False
-            if detected:
-                n_det += 1
-                if a_is_z:
-                    rounds.append(RoundRecord(idx, True, Z if b_is_z else X, Z))
-                    if b_is_z:
-                        az.append(a_bit)
-                        bz.append(b_bit)
-                else:
-                    rounds.append(RoundRecord(idx, True, Z if b_is_z else X, X))
-                    if not b_is_z:
-                        ax.append(a_bit)
-                        bx.append(b_bit)
-            else:
-                rounds.append(RoundRecord(idx, False, Z if b_is_z else X, None))
-
-    sifted = SiftedData(
-        s_az=np.array(az, dtype=np.uint8),
-        s_bz=np.array(bz, dtype=np.uint8),
-        s_ax=np.array(ax, dtype=np.uint8),
-        s_bx=np.array(bx, dtype=np.uint8),
-        n_z=len(az),
-        n_x=len(ax),
-    )
-    if counting_detected and sifted.n_z + sifted.n_x > params.n_det_ter:
-        raise ValidationError("sifted counts exceed the detection threshold")
-    return transcript, sifted, n_det
+    return _session(params, eve, rng, povm, rule, _ACTUAL)
 
 
 def run_virtual(
@@ -556,27 +459,90 @@ def run_virtual(
     Z-agreed rounds in detection order.
     """
     povm = povm if povm is not None else ideal_povm()
-    rule = _check_secure_rule(params)
+    return _session(params, eve, rng, povm, CountDetected(params.n_det_ter), _VIRTUAL)
+
+
+def run_estimation(
+    params: ProtocolParams,
+    eve: EveStrategy,
+    rng: RandomStream,
+    povm: BobPOVM | None = None,
+) -> EstimationRun:
+    """Session in which every detected pair is measured in X immediately.
+
+    Each detected round records the announced bases, the X outcomes, and the
+    conditional probabilities p_ph = q_z * t and p_xerr = q_x * t, where t is
+    the phase-error weight of that round's post-detection state.  Both
+    probabilities come from the single trace evaluation t, so their ratio is
+    q_z : q_x by construction.
+    """
+    povm = povm if povm is not None else ideal_povm()
+    return _session(params, eve, rng, povm, CountDetected(params.n_det_ter), _ESTIMATION)
+
+
+def _session(
+    params: ProtocolParams,
+    eve: EveStrategy,
+    rng: RandomStream,
+    povm: BobPOVM,
+    rule: TerminationRule,
+    picture: str,
+) -> EstimationRun | tuple:
+    """The one round loop behind every session picture.
+
+    Draw order per round, from the session stream:
+
+    * actual: Alice's basis, her bit, delivery, Bob's basis, and Bob's
+      readout if delivered;
+    * virtual and estimation: delivery, detection if delivered, Bob's basis,
+      and on a counted detection Alice's basis; estimation then reads X at
+      once, while the virtual picture reads the kept pairs after the loop.
+    """
+    # The picture is tested once; the loop branches on plain local flags.
+    actual = picture is _ACTUAL
+    virtual = picture is _VIRTUAL
     kernel = _kernel_for(povm)
+    law_of = kernel.actual if actual else kernel.virtual
     eve_rng = _eve_stream(rng)
     behavior = eve.behavior
     rand = rng.random
+    getrandbits = rng.getrandbits
 
     p_z_a = params.p_z_a
     p_z_b = params.p_z_b
+    q_z = params.q_z
+    q_x = params.q_x
     batch = params.batch_size
     max_rounds = params.max_rounds
     Z, X = Basis.Z, Basis.X
 
+    # Stop once n_det >= det_target and both quotas fill; exactly one of the
+    # two conditions is live for a given rule.
+    counting_detected = isinstance(rule, CountDetected)
+    if counting_detected:
+        det_target, nz_req, nx_req = rule.n, 0, 0
+    else:
+        det_target, nz_req, nx_req = 0, rule.n_z_req, rule.n_x_req
+
     rounds: list[RoundRecord] = []
     transcript = Transcript(params=params, rounds=rounds)
-    # (is_z_pair, cum3) per kept round, measured after the loop.
+    # Z- and X-agreed bits.  Actual: the sifted strings.  Estimation: az/bz
+    # hold the X readouts of the Z-agreed pairs.  Virtual: filled by the
+    # deferred readout of ``kept`` after the loop.
+    az: list[int] = []
+    bz: list[int] = []
+    ax: list[int] = []
+    bx: list[int] = []
+    # Virtual: (is_z_pair, cum3) per kept round, and the Z-agreed states.
     kept: list[tuple[bool, tuple[float, float, float]]] = []
     retained: list[Density4] = []
+    per_round: list[PerRound] = []
+    lambda_ph = 0
+    lambda_xerr = 0
     n_det = 0
     idx = 0
 
-    while n_det < rule.n:
+    while n_det < det_target or len(az) < nz_req or len(ax) < nx_req:
         if idx >= max_rounds:
             raise MaxRoundsExceeded(
                 f"no termination after {idx} rounds ({n_det} detected)"
@@ -585,32 +551,92 @@ def run_virtual(
             if idx >= max_rounds:
                 break
             idx += 1
-            law = kernel.virtual(behavior(transcript, eve_rng))
-            detected = False
-            if rand() < law.p_deliver and rand() < law.p_detect:
-                detected = True
-            b_is_z = rand() < p_z_b
-            if detected and n_det >= rule.n:
-                detected = False  # in-flight overflow, see _actual_loop
+            law = law_of(behavior(transcript, eve_rng))
+            if actual:
+                a_is_z = rand() < p_z_a
+                a_bit = getrandbits(1)
+                delivered = rand() < law.p_deliver[a_bit][0 if a_is_z else 1]
+                b_is_z = rand() < p_z_b
+                detected = False
+                b_bit = 0
+                if delivered:
+                    c0, c1 = law.outcome_cum[a_bit][0 if a_is_z else 1][0 if b_is_z else 1]
+                    u = rand()
+                    if u < c0:
+                        detected = True
+                    elif u < c1:
+                        detected = True
+                        b_bit = 1
+            else:
+                detected = rand() < law.p_deliver and rand() < law.p_detect
+                b_is_z = rand() < p_z_b
+            if detected and counting_detected and n_det >= det_target:
+                # Threshold filled while this round was in flight: announce it
+                # as non-detected so the detected count stays exact.
+                detected = False
             if not detected:
                 rounds.append(RoundRecord(idx, False, Z if b_is_z else X, None))
                 continue
             n_det += 1
-            a_is_z = rand() < p_z_a
+            if not actual:
+                a_is_z = rand() < p_z_a
             rounds.append(
                 RoundRecord(idx, True, Z if b_is_z else X, Z if a_is_z else X)
             )
-            if a_is_z and b_is_z:
-                kept.append((True, law.zz_cum))
-                retained.append(law.rho_detected)
-            elif not a_is_z and not b_is_z:
-                kept.append((False, law.xx_cum))
+            if actual:
+                if a_is_z:
+                    if b_is_z:
+                        az.append(a_bit)
+                        bz.append(b_bit)
+                elif not b_is_z:
+                    ax.append(a_bit)
+                    bx.append(b_bit)
+            elif virtual:
+                if a_is_z and b_is_z:
+                    kept.append((True, law.zz_cum))
+                    retained.append(law.rho_detected)
+                elif not a_is_z and not b_is_z:
+                    kept.append((False, law.xx_cum))
+            else:
+                p_ph = q_z * law.t_phase
+                p_xerr = q_x * law.t_phase
+                cum = law.xx_cum
+                u = rand()
+                if u < cum[0]:
+                    xa, xb = 0, 0
+                elif u < cum[1]:
+                    xa, xb = 0, 1
+                elif u < cum[2]:
+                    xa, xb = 1, 0
+                else:
+                    xa, xb = 1, 1
+                if a_is_z:
+                    if b_is_z:
+                        if xa != xb:
+                            lambda_ph += 1
+                        az.append(xa)
+                        bz.append(xb)
+                        per_round.append(PerRound((Z, Z), (xa, xb), p_ph, p_xerr))
+                    else:
+                        per_round.append(PerRound((Z, X), (xa, xb), p_ph, p_xerr))
+                elif not b_is_z:
+                    if xa != xb:
+                        lambda_xerr += 1
+                    per_round.append(PerRound((X, X), (xa, xb), p_ph, p_xerr))
+                else:
+                    per_round.append(PerRound((X, Z), (xa, xb), p_ph, p_xerr))
 
-    az: list[int] = []
-    bz: list[int] = []
-    ax: list[int] = []
-    bx: list[int] = []
-    for is_z, cum in kept:
+    if picture is _ESTIMATION:
+        return EstimationRun(
+            transcript=transcript,
+            per_round=per_round,
+            lambda_ph=lambda_ph,
+            lambda_xerr=lambda_xerr,
+            s_az_vir=np.array(az, dtype=np.uint8),
+            s_bz_vir=np.array(bz, dtype=np.uint8),
+        )
+
+    for is_z, cum in kept:  # the virtual picture's deferred readout
         u = rand()
         if u < cum[0]:
             a_bit, b_bit = 0, 0
@@ -635,117 +661,11 @@ def run_virtual(
         n_z=len(az),
         n_x=len(ax),
     )
-    if sifted.n_z + sifted.n_x > params.n_det_ter:
+    if counting_detected and sifted.n_z + sifted.n_x > params.n_det_ter:
         raise ValidationError("sifted counts exceed the detection threshold")
-    return transcript, sifted, retained
-
-
-def run_estimation(
-    params: ProtocolParams,
-    eve: EveStrategy,
-    rng: RandomStream,
-    povm: BobPOVM | None = None,
-) -> EstimationRun:
-    """Session in which every detected pair is measured in X immediately.
-
-    Each detected round records the announced bases, the X outcomes, and the
-    conditional probabilities p_ph = q_z * t and p_xerr = q_x * t, where t is
-    the phase-error weight of that round's post-detection state.  Both
-    probabilities come from the single trace evaluation t, so their ratio is
-    q_z : q_x by construction.
-    """
-    povm = povm if povm is not None else ideal_povm()
-    rule = _check_secure_rule(params)
-    kernel = _kernel_for(povm)
-    eve_rng = _eve_stream(rng)
-    behavior = eve.behavior
-    rand = rng.random
-
-    p_z_a = params.p_z_a
-    p_z_b = params.p_z_b
-    q_z = params.q_z
-    q_x = params.q_x
-    batch = params.batch_size
-    max_rounds = params.max_rounds
-    Z, X = Basis.Z, Basis.X
-
-    rounds: list[RoundRecord] = []
-    transcript = Transcript(params=params, rounds=rounds)
-    per_round: list[PerRound] = []
-    az_vir: list[int] = []
-    bz_vir: list[int] = []
-    lambda_ph = 0
-    lambda_xerr = 0
-    n_det = 0
-    idx = 0
-    # p_ph/p_xerr per op are q-weighted copies of t cached alongside the law
-    weighted: dict[int, tuple[float, float]] = {}
-
-    while n_det < rule.n:
-        if idx >= max_rounds:
-            raise MaxRoundsExceeded(
-                f"no termination after {idx} rounds ({n_det} detected)"
-            )
-        for _ in range(batch):
-            if idx >= max_rounds:
-                break
-            idx += 1
-            op = behavior(transcript, eve_rng)
-            law = kernel.virtual(op)
-            detected = False
-            if rand() < law.p_deliver and rand() < law.p_detect:
-                detected = True
-            b_is_z = rand() < p_z_b
-            if detected and n_det >= rule.n:
-                detected = False
-            if not detected:
-                rounds.append(RoundRecord(idx, False, Z if b_is_z else X, None))
-                continue
-            n_det += 1
-            a_is_z = rand() < p_z_a
-            rounds.append(
-                RoundRecord(idx, True, Z if b_is_z else X, Z if a_is_z else X)
-            )
-            w = weighted.get(id(law))
-            if w is None:
-                w = (q_z * law.t_phase, q_x * law.t_phase)
-                weighted[id(law)] = w
-            p_ph, p_xerr = w
-            cum = law.xx_cum
-            u = rand()
-            if u < cum[0]:
-                xa, xb = 0, 0
-            elif u < cum[1]:
-                xa, xb = 0, 1
-            elif u < cum[2]:
-                xa, xb = 1, 0
-            else:
-                xa, xb = 1, 1
-            if a_is_z:
-                if b_is_z:
-                    if xa != xb:
-                        lambda_ph += 1
-                    az_vir.append(xa)
-                    bz_vir.append(xb)
-                    per_round.append(PerRound((Z, Z), (xa, xb), p_ph, p_xerr))
-                else:
-                    per_round.append(PerRound((Z, X), (xa, xb), p_ph, p_xerr))
-            else:
-                if not b_is_z:
-                    if xa != xb:
-                        lambda_xerr += 1
-                    per_round.append(PerRound((X, X), (xa, xb), p_ph, p_xerr))
-                else:
-                    per_round.append(PerRound((X, Z), (xa, xb), p_ph, p_xerr))
-
-    return EstimationRun(
-        transcript=transcript,
-        per_round=per_round,
-        lambda_ph=lambda_ph,
-        lambda_xerr=lambda_xerr,
-        s_az_vir=np.array(az_vir, dtype=np.uint8),
-        s_bz_vir=np.array(bz_vir, dtype=np.uint8),
-    )
+    if virtual:
+        return transcript, sifted, retained
+    return transcript, sifted
 
 
 # ---------------------------------------------------------------------------

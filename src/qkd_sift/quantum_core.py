@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 import numpy.typing as npt
 
-from .errors import DegenerateState, DomainError, NormalizationError
+from .errors import DomainError, NormalizationError
 
 Matrix = npt.NDArray[np.complex128]
 
@@ -34,9 +34,9 @@ Matrix = npt.NDArray[np.complex128]
 #: are cheap, state is picklable, and independent instances never interact.
 RandomStream = random.Random
 
-# Tolerances.  Construction-time structural checks use 1e-10; probabilities
-# handed to a sampler must be normalized within 1e-8; a branch whose
-# probability falls below 1e-12 is treated as impossible.
+# Tolerances.  Construction-time structural checks use 1e-10; conditional
+# states must be normalized within 1e-8; a branch whose probability falls
+# below 1e-12 is treated as impossible.
 HERMITIAN_ATOL = 1e-10
 PSD_EIG_ATOL = 1e-10
 TRACE_MAX_ATOL = 1e-10
@@ -55,16 +55,9 @@ class Basis(Enum):
 
 _I2 = np.eye(2, dtype=np.complex128)
 
-# Exact basis kets and projectors.  The X projectors are written with literal
-# 0.5 entries: np.outer of (1/sqrt(2))-kets would leave ~1e-17 dust on the
-# diagonal and break exact cancellations downstream.
-KET = {
-    (0, Basis.Z): np.array([1.0, 0.0], dtype=np.complex128),
-    (1, Basis.Z): np.array([0.0, 1.0], dtype=np.complex128),
-    (0, Basis.X): np.array([np.sqrt(0.5), np.sqrt(0.5)], dtype=np.complex128),
-    (1, Basis.X): np.array([np.sqrt(0.5), -np.sqrt(0.5)], dtype=np.complex128),
-}
-
+# Exact basis projectors, written with literal 0.5 entries: np.outer of
+# (1/sqrt(2))-kets would leave ~1e-17 dust on the diagonal and break exact
+# cancellations downstream.
 PROJECTOR = {
     (0, Basis.Z): np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128),
     (1, Basis.Z): np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128),
@@ -416,20 +409,6 @@ def _branch_apply(m: Matrix, kraus: tuple[Matrix, ...]) -> tuple[float, Matrix]:
     return float(acc.trace().real), acc
 
 
-def apply_channel_b(
-    rho: Density4, ch: ChannelOp, rng: RandomStream
-) -> tuple[bool, Density4]:
-    """Sample one channel use on the B side of the pair.
-
-    Returns ``(delivered, post_state)`` with the post state renormalized for
-    the sampled branch.  Branches below :data:`BRANCH_EPS` are never sampled;
-    if both are that small the input state is numerically dead and
-    :class:`DegenerateState` is raised.
-    """
-    split = channel_branches(rho, ch)
-    return _sample_branch(split, rng, "channel")
-
-
 def filter_branches(rho: Density4, povm: BobPOVM) -> BranchSplit:
     """Detection filter {sqrt(I - m_fail), sqrt(m_fail)} applied on side B."""
     m = rho.mat
@@ -444,27 +423,6 @@ def filter_branches(rho: Density4, povm: BobPOVM) -> BranchSplit:
     return BranchSplit(p_det, rho_det, p_fail, rho_fail)
 
 
-def filter_detect(
-    rho: Density4, povm: BobPOVM, rng: RandomStream
-) -> tuple[bool, Density4]:
-    """Sample the detection filter; True means the round counts as detected."""
-    split = filter_branches(rho, povm)
-    return _sample_branch(split, rng, "filter")
-
-
-def _sample_branch(
-    split: BranchSplit, rng: RandomStream, what: str
-) -> tuple[bool, Density4]:
-    p1 = split.p_first if split.rho_first is not None else 0.0
-    p2 = split.p_second if split.rho_second is not None else 0.0
-    total = p1 + p2
-    if total < BRANCH_EPS:
-        raise DegenerateState(f"{what}: all branch probabilities below {BRANCH_EPS}")
-    if split.rho_second is None or rng.random() * total < p1:
-        return True, split.rho_first  # type: ignore[return-value]
-    return False, split.rho_second
-
-
 def pair_outcome_probs(
     rho: Density4, basis_a: Basis, basis_b: Basis, povm: BobPOVM
 ) -> np.ndarray:
@@ -477,37 +435,6 @@ def pair_outcome_probs(
     m = rho.mat
     probs = np.einsum("abij,ji->ab", effects, m).real
     return probs
-
-
-def measure_pair(
-    rho: Density4,
-    basis_a: Basis,
-    basis_b: Basis,
-    povm: BobPOVM,
-    rng: RandomStream,
-) -> tuple[int, int]:
-    """Sample the joint readout of a detected pair.
-
-    Raises :class:`NormalizationError` if the four outcome probabilities do
-    not sum to one within 1e-8 (e.g. a sub-normalized state was passed in).
-    Probabilities in [-1e-10, 0) are rounding dust and clipped to zero.
-    """
-    probs = pair_outcome_probs(rho, basis_a, basis_b, povm)
-    total = float(probs.sum())
-    if abs(total - 1.0) > NORMALIZATION_ATOL:
-        raise NormalizationError(
-            f"pair outcome probabilities sum to {total!r}, expected 1"
-        )
-    if probs.min() < -PSD_EIG_ATOL:
-        raise NormalizationError(f"negative outcome probability {probs.min():.3e}")
-    r = rng.random() * total
-    acc = 0.0
-    for a in (0, 1):
-        for b in (0, 1):
-            acc += max(probs[a, b], 0.0)
-            if r < acc:
-                return a, b
-    return 1, 1
 
 
 def prob_phase_error(rho: Density4, povm: BobPOVM) -> float:

@@ -12,7 +12,6 @@ chosen to preserve.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -196,8 +195,10 @@ def coverage_trials(
     """Run ``trials`` estimation sessions and collect their counters.
 
     Per-trial streams are derived from a base seed drawn once from ``rng``
-    with the documented counter scheme, so the result is identical for any
-    ``workers`` count.
+    with the documented counter scheme.  Trials run in index order on the
+    calling thread; ``workers`` is accepted and ignored, since the session
+    loop is pure Python and holds the interpreter lock, so threads could not
+    run trials in parallel.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
@@ -209,6 +210,7 @@ def coverage_trials(
     n_z = np.zeros(trials, dtype=np.int64)
     n_x = np.zeros(trials, dtype=np.int64)
 
+    # One trial per call, so each run is freed before the next one starts.
     def one(i: int) -> None:
         run = run_estimation(params, strategy, derive_stream(base_seed, i), povm=povm)
         lam_ph[i] = run.lambda_ph
@@ -220,12 +222,8 @@ def coverage_trials(
             1 for r in run.per_round if r.bases[0] is Basis.X and r.bases[1] is Basis.X
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(trials)))
-    else:
-        for i in range(trials):
-            one(i)
+    for i in range(trials):
+        one(i)
     return TrialStats(
         n=params.n_det_ter,
         lambda_ph=lam_ph,

@@ -16,7 +16,6 @@ from qkd_sift.adversary import (
     depolarizing_channel,
     identity_lossy_channel,
     make_strategy,
-    next_action,
     strategy_from_dict,
     strategy_to_dict,
 )
@@ -115,27 +114,27 @@ def test_builtin_labels():
 def test_static_strategies_reuse_one_channel_instance():
     strat = make_strategy(Depolarizing(0.1))
     rng = random.Random(0)
-    first = next_action(strat, _prefix([]), rng)
-    assert next_action(strat, _prefix([Basis.Z] * 4), rng) is first
+    first = strat.behavior(_prefix([]), rng)
+    assert strat.behavior(_prefix([Basis.Z] * 4), rng) is first
 
 
 def test_intercept_resend_policies():
     rng = random.Random(5)
     pz = dephasing_channel(Basis.Z).deliver_kraus[0]
     always_z = make_strategy(InterceptResend("always_z"))
-    assert np.array_equal(next_action(always_z, _prefix([]), rng).deliver_kraus[0], pz)
+    assert np.array_equal(always_z.behavior(_prefix([]), rng).deliver_kraus[0], pz)
     all_z = make_strategy(InterceptResend("random", q=1.0))
     all_x = make_strategy(InterceptResend("random", q=0.0))
     for _ in range(20):
-        assert np.array_equal(next_action(all_z, _prefix([]), rng).deliver_kraus[0], pz)
+        assert np.array_equal(all_z.behavior(_prefix([]), rng).deliver_kraus[0], pz)
         assert not np.array_equal(
-            next_action(all_x, _prefix([]), rng).deliver_kraus[0], pz
+            all_x.behavior(_prefix([]), rng).deliver_kraus[0], pz
         )
 
 
 def test_adaptive_tracker_is_quiet_without_history():
     strat = make_strategy(AdaptiveBasisTracker())
-    op = next_action(strat, _prefix([]), random.Random(0))
+    op = strat.behavior(_prefix([]), random.Random(0))
     assert op.lose_kraus == ()
     assert np.array_equal(op.deliver_kraus[0], np.eye(2))
 
@@ -144,11 +143,11 @@ def test_adaptive_tracker_attacks_majority_basis():
     strat = make_strategy(AdaptiveBasisTracker(window=8, bias_gain=1.0))
     rng = random.Random(0)
     all_z = _prefix([Basis.Z] * 8)
-    op = next_action(strat, all_z, rng)
+    op = strat.behavior(all_z, rng)
     # full bias -> attack probability 1 -> Z-basis dephasing
     assert np.array_equal(op.deliver_kraus[0], np.diag([1.0, 0.0]))
     all_x = _prefix([Basis.X] * 8)
-    op = next_action(strat, all_x, rng)
+    op = strat.behavior(all_x, rng)
     assert op.deliver_kraus[0].shape == (2, 2)
     assert op.deliver_kraus[0][0, 1] != 0  # X projector has off-diagonals
 
@@ -157,7 +156,7 @@ def test_adaptive_tracker_balanced_history_is_identity():
     strat = make_strategy(AdaptiveBasisTracker(window=8))
     prefix = _prefix([Basis.Z, Basis.X] * 4)
     for seed in range(10):
-        op = next_action(strat, prefix, random.Random(seed))
+        op = strat.behavior(prefix, random.Random(seed))
         assert np.array_equal(op.deliver_kraus[0], np.eye(2))
 
 
@@ -168,7 +167,7 @@ def test_adaptive_tracker_skips_undetected_rounds():
         [Basis.Z, Basis.X, Basis.Z, Basis.X],
         detected=[True, False, True, False],
     )
-    op = next_action(strat, prefix, random.Random(0))
+    op = strat.behavior(prefix, random.Random(0))
     assert np.array_equal(op.deliver_kraus[0], np.diag([1.0, 0.0]))
 
 

@@ -1,0 +1,128 @@
+"""Golden-artifact corpus: every session mode's bytes pinned by sha256.
+
+Each case runs the CLI end to end on a small config and hashes the artifact
+file; the digests in ``golden_digests.json`` were recorded before the session
+loops were merged into one engine, so any change to the draw order or to the
+serialized shape of a ``qkd-sift/v1`` artifact shows up here.  The insecure
+per-basis entry point has no CLI mode and is hashed through the API.
+
+Regenerate the manifest (only for an intended format change) with::
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qkd_sift.adversary import make_strategy, strategy_from_dict
+from qkd_sift.cli import main
+from qkd_sift.protocol import (
+    CountPerBasis,
+    ProtocolParams,
+    derive_stream,
+    run_insecure_termination,
+    sifted_to_json,
+    transcript_to_json,
+)
+
+MANIFEST = Path(__file__).with_name("golden_digests.json")
+
+STRATEGIES = {
+    "identity_lossy": {"kind": "identity_lossy", "p_loss": 0.3},
+    "depolarizing": {"kind": "depolarizing", "p": 0.15, "p_loss": 0.2},
+    "intercept_resend": {"kind": "intercept_resend", "basis_policy": "random", "q": 0.4},
+    "adaptive_basis_tracker": {"kind": "adaptive_basis_tracker", "window": 4, "bias_gain": 1.5},
+}
+MODES = ("actual", "virtual", "estimation", "coverage")
+
+PARAMS = {"p_z_a": 0.6, "p_z_b": 0.7, "n_det_ter": 24, "eps_s": 1e-9, "eps_c": 1e-12, "delta": 0.1}
+
+
+def _cases() -> dict[str, dict]:
+    cases = {}
+    for mode in MODES:
+        for kind, strategy in STRATEGIES.items():
+            for trials in (1, 3):
+                cases[f"{mode}-{kind}-t{trials}"] = {
+                    "mode": mode,
+                    "params": PARAMS,
+                    "strategy": strategy,
+                    "trials": trials,
+                    "seed": 5,
+                }
+        # In-flight overflow and an imperfect detector in every picture.
+        cases[f"{mode}-batch4-eta0.8"] = {
+            "mode": mode,
+            "params": {**PARAMS, "batch_size": 4},
+            "strategy": STRATEGIES["depolarizing"],
+            "trials": 3,
+            "seed": 9,
+            "eta_det": 0.8,
+        }
+    return cases
+
+
+CASES = _cases()
+
+
+def _artifact_digest(doc: dict, tmp: Path) -> str:
+    # The artifact echoes its output path, so the path is kept relative.
+    with contextlib.chdir(tmp):
+        Path("cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", "cfg.json", "--out", "out.json"]) == 0
+        return hashlib.sha256(Path("out.json").read_bytes()).hexdigest()
+
+
+def _insecure_digest() -> str:
+    params = ProtocolParams(
+        p_z_a=0.5, p_x_a=0.5, p_z_b=0.5, p_x_b=0.5,
+        n_det_ter=8, eps_s=1e-9, eps_c=1e-12, delta=0.1,
+    )
+    eve = make_strategy(strategy_from_dict(STRATEGIES["depolarizing"]))
+    transcript, sifted = run_insecure_termination(
+        params, CountPerBasis(5, 3), eve, derive_stream(3, 0)
+    )
+    doc = {"transcript": transcript_to_json(transcript), "sifted": sifted_to_json(sifted)}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _recorded() -> dict[str, str]:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def test_manifest_covers_every_case():
+    assert set(_recorded()) == set(CASES) | {"insecure-count_per_basis-5-3"}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifact_bytes_match_the_recorded_digest(case, tmp_path):
+    assert _artifact_digest(CASES[case], tmp_path) == _recorded()[case]
+
+
+def test_insecure_termination_matches_the_recorded_digest():
+    assert _insecure_digest() == _recorded()["insecure-count_per_basis-5-3"]
+
+
+def _record() -> None:
+    import tempfile
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            digests[case] = _artifact_digest(CASES[case], Path(tmp))
+    digests["insecure-count_per_basis-5-3"] = _insecure_digest()
+    MANIFEST.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {MANIFEST}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_golden.py --record")
+    _record()

@@ -49,8 +49,10 @@ from qkd_sift.quantum_core import (
     Basis,
     ChannelOp,
     bell_pair,
+    channel_branches,
     detection_povm,
     ideal_povm,
+    pair_outcome_probs,
 )
 
 IDENTITY = make_strategy(IdentityLossy(0.0))
@@ -437,6 +439,49 @@ def test_estimation_counts_agree_with_per_round_records():
     assert (run.lambda_ph, run.lambda_xerr) == (ph, xe)
     n_zz = sum(1 for pr in run.per_round if pr.bases == (Basis.Z, Basis.Z))
     assert len(run.s_az_vir) == len(run.s_bz_vir) == n_zz
+
+
+def test_estimation_x_readouts_match_born_probabilities():
+    """The engine's inline X readout at 1e5 rounds, 4-sigma binomial tolerance."""
+    op = depolarizing_channel(0.3)
+    rho = channel_branches(bell_pair(), op).rho_first
+    probs = pair_outcome_probs(rho, Basis.X, Basis.X, ideal_povm())
+    n = 100_000
+    strat = EveStrategy("depolarizing", lambda prefix, rng: op)
+    run = run_estimation(_params(n=n), strat, derive_stream(42, 0), ideal_povm())
+    counts = np.zeros((2, 2))
+    for pr in run.per_round:
+        counts[pr.x_outcomes] += 1
+    for i in (0, 1):
+        for j in (0, 1):
+            p = probs[i, j]
+            sigma = np.sqrt(p * (1 - p) / n)
+            assert abs(counts[i, j] / n - p) < 4 * sigma + 1e-12
+
+
+def test_estimation_weights_follow_fresh_ops_every_round():
+    # A strategy that mints a new op each round overflows the kernel's op
+    # cache, so dead laws get collected and their ids reused; every p_ph must
+    # still belong to the op of its own round.
+    chosen = []
+
+    def behavior(prefix, rng):
+        p = rng.choice((0.0, 0.2, 0.4, 0.6))
+        chosen.append(p)
+        return depolarizing_channel(p)
+
+    params = _params(n=3000)
+    run = run_estimation(
+        params, EveStrategy("fresh_depolarizing", behavior), derive_stream(1, 0), ideal_povm()
+    )
+    detected = [r.index for r in run.transcript.rounds if r.detected]
+    assert len(detected) == len(run.per_round) == 3000
+    wrong = [
+        i
+        for i, pr in zip(detected, run.per_round)
+        if abs(pr.p_ph - params.q_z * chosen[i - 1] / 2.0) > 1e-12
+    ]
+    assert wrong == []
 
 
 def test_estimation_respects_adaptive_strategies():

@@ -12,19 +12,15 @@ from qkd_sift.quantum_core import (
     ChannelOp,
     Density2,
     Density4,
-    apply_channel_b,
     bell_pair,
     channel_branches,
     detection_povm,
     filter_branches,
-    filter_detect,
     ideal_povm,
-    measure_pair,
     pair_outcome_probs,
     prob_phase_error,
     source_state,
 )
-import random
 
 
 def _op(deliver, lose=()):
@@ -127,17 +123,21 @@ def test_channel_op_rejects_empty():
 
 
 def test_identity_channel_is_exact_noop():
-    delivered, rho = apply_channel_b(bell_pair(), IDENTITY, random.Random(0))
-    assert delivered
-    assert np.array_equal(rho.mat, bell_pair().mat)
+    split = channel_branches(bell_pair(), IDENTITY)
+    assert split.p_first == 1.0
+    assert np.array_equal(split.rho_first.mat, bell_pair().mat)
+    assert split.p_second == 0.0
+    assert split.rho_second is None
 
 
 def test_all_lose_channel_never_delivers():
     lossy = _op([], [I2])
-    delivered, rho = apply_channel_b(bell_pair(), lossy, random.Random(0))
-    assert not delivered
+    split = channel_branches(bell_pair(), lossy)
+    assert split.p_first == 0.0
+    assert split.rho_first is None
+    assert split.p_second == pytest.approx(1.0, abs=1e-12)
     # A side survives, B side is the parked junk state
-    assert np.allclose(rho.partial_trace_b().mat, I2 / 2, atol=1e-12)
+    assert np.allclose(split.rho_second.partial_trace_b().mat, I2 / 2, atol=1e-12)
 
 
 def test_depolarizing_deliver_branch_is_convex_mix():
@@ -201,8 +201,8 @@ def test_filter_half_efficiency_leaves_state_invariant():
     split = filter_branches(bell_pair(), povm)
     assert split.p_first == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(split.rho_first.mat, bell_pair().mat, atol=1e-12)
-    detected, rho = filter_detect(bell_pair(), povm, random.Random(1))
-    assert np.allclose(rho.mat, bell_pair().mat, atol=1e-12)
+    assert split.p_second == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(split.rho_second.mat, bell_pair().mat, atol=1e-12)
 
 
 @settings(max_examples=30)
@@ -220,12 +220,11 @@ def test_filter_branch_probabilities_sum_to_one(seed, eta):
 # Measurement
 
 
-def test_measure_pair_bell_is_perfectly_correlated_in_both_bases():
-    rng = random.Random(7)
+def test_bell_pair_readout_is_perfectly_correlated_in_both_bases():
     for basis in (Basis.Z, Basis.X):
-        for _ in range(200):
-            a, b = measure_pair(bell_pair(), basis, basis, ideal_povm(), rng)
-            assert a == b
+        probs = pair_outcome_probs(bell_pair(), basis, basis, ideal_povm())
+        assert probs[0, 1] == probs[1, 0] == 0.0
+        assert probs[0, 0] == probs[1, 1] == 0.5
 
 
 def test_pair_outcome_probs_match_born_rule_oracle():
@@ -245,26 +244,6 @@ def test_pair_outcome_probs_match_born_rule_oracle():
                     pb = oracles._proj(oracles.SOURCE_KETS[(bb_name, j)])
                     expect = float(np.trace(rho.mat @ np.kron(pa, pb)).real)
                     assert probs[i, j] == pytest.approx(expect, abs=1e-12)
-
-
-def test_measure_pair_frequencies_match_born_probabilities():
-    """Empirical check at 1e5 samples, 4-sigma binomial tolerance."""
-    from qkd_sift.adversary import depolarizing_channel
-
-    split = channel_branches(bell_pair(), depolarizing_channel(0.3))
-    rho = split.rho_first
-    probs = pair_outcome_probs(rho, Basis.X, Basis.X, ideal_povm())
-    rng = random.Random(42)
-    n = 100_000
-    counts = np.zeros((2, 2))
-    for _ in range(n):
-        a, b = measure_pair(rho, Basis.X, Basis.X, ideal_povm(), rng)
-        counts[a, b] += 1
-    for i in (0, 1):
-        for j in (0, 1):
-            p = probs[i, j]
-            sigma = np.sqrt(p * (1 - p) / n)
-            assert abs(counts[i, j] / n - p) < 4 * sigma + 1e-12
 
 
 # ---------------------------------------------------------------------------
