@@ -28,7 +28,6 @@ from .errors import (
     AbortNoTestData,
     AbortVerificationFailed,
     ConfigError,
-    DegenerateState,
     DomainError,
     EnumerationTooLarge,
     IoError,
@@ -96,7 +95,6 @@ __all__ = [
     "CountDetected",
     "CountPerBasis",
     "CoverageReport",
-    "DegenerateState",
     "Depolarizing",
     "DomainError",
     "EnumerationTooLarge",

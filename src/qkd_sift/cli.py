@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -290,12 +291,15 @@ def emit_config(cfg: RunConfig, path: str) -> None:
 # Mode runners
 
 
-def _povm_for(cfg: RunConfig) -> BobPOVM:
-    return ideal_povm() if cfg.eta_det == 1.0 else detection_povm(cfg.eta_det)
+# The session kernel is cached per POVM object, so every run at one efficiency
+# must hand it the same POVM or the kernel rebuilds the same laws.
+@functools.lru_cache(maxsize=16)
+def _povm_for(eta_det: float) -> BobPOVM:
+    return ideal_povm() if eta_det == 1.0 else detection_povm(eta_det)
 
 
 def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
-    povm = _povm_for(cfg)
+    povm = _povm_for(cfg.eta_det)
     eve = make_strategy(cfg.strategy)
     runner = run_actual if cfg.mode == "actual" else run_virtual
     attach_detail = cfg.trials == 1
@@ -323,7 +327,7 @@ def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
 
 
 def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
-    povm = _povm_for(cfg)
+    povm = _povm_for(cfg.eta_det)
     eve = make_strategy(cfg.strategy)
 
     def one(i: int) -> dict:
@@ -368,7 +372,7 @@ def _coverage_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
         eve,
         cfg.trials,
         derive_stream(cfg.seed, 0),
-        povm=_povm_for(cfg),
+        povm=_povm_for(cfg.eta_det),
     )
     report = stats.coverage_report(trial_stats, cfg.params.delta)
     eta_single = math.exp(-cfg.params.n_det_ter * cfg.params.delta**2 / 2.0)

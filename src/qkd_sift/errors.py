@@ -22,10 +22,6 @@ class NormalizationError(QkdSiftError, ValueError):
     """A state or outcome distribution is not normalized within tolerance."""
 
 
-class DegenerateState(QkdSiftError, ArithmeticError):
-    """All branch probabilities of a stochastic operation are numerically zero."""
-
-
 # --------------------------------------------------------------------------
 # protocol layer
 

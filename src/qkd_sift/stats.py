@@ -266,9 +266,6 @@ def azuma_coverage(
 
 _ENUM_MAX_ROUNDS = 12
 
-# Per-round basis pattern alphabet: both-Z (code), both-X (test), mismatch.
-_LETTERS = ("Z", "X", "M")
-
 
 @dataclass(frozen=True)
 class BiasReport:
@@ -302,9 +299,13 @@ def enumerate_bias(
 
     ``p_bases`` is (p_z_a, p_z_b).  Every round is detected (no loss, unit
     detector efficiency), so the announcement content per round reduces to the
-    basis pattern.  All probabilities are exact fractions; sequences that have
-    not terminated after ``max_rounds`` rounds are excluded and the report is
-    conditioned on the terminating mass.
+    basis pattern.  Sequences that have not terminated after ``max_rounds``
+    rounds are excluded and the report is conditioned on the terminating mass.
+
+    Every arrangement of a composition (length, #Z, #X) has the same product
+    probability, so the walk over sequences carries only integers: per
+    composition it counts the terminating arrangements and their X->X and X->Z
+    adjacencies.  Exact rational arithmetic then runs once per composition.
     """
     if max_rounds < 1:
         raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -325,96 +326,83 @@ def enumerate_bias(
     for p in (p_z_a, p_z_b):
         if not 0 <= p <= 1:
             raise DomainError(f"basis probability {float(p)} outside [0, 1]")
-    q = {
-        "Z": p_z_a * p_z_b,
-        "X": (1 - p_z_a) * (1 - p_z_b),
-    }
-    q["M"] = 1 - q["Z"] - q["X"]
-
+    q_z = p_z_a * p_z_b
+    q_x = (1 - p_z_a) * (1 - p_z_b)
+    q_m = 1 - q_z - q_x
+    # Both rules read "stop once n >= n_req, c_z >= z_req and c_x >= x_req".
     if isinstance(rule, CountDetected):
-        target = rule.n
-
-        def terminated(n: int, c_z: int, c_x: int) -> bool:
-            return n == target
-
+        n_req, z_req, x_req = rule.n, 0, 0
     else:
-        nz_req, nx_req = rule.n_z_req, rule.n_x_req
+        n_req, z_req, x_req = 1, rule.n_z_req, rule.n_x_req
 
-        def terminated(n: int, c_z: int, c_x: int) -> bool:
-            return c_z >= nz_req and c_x >= nx_req
-
-    leaves: list[tuple[str, Fraction]] = []
-    stack: list[tuple[str, Fraction, int, int]] = [("", Fraction(1), 0, 0)]
+    # Depth-first over letters with nonzero probability, popped in the order
+    # M < X < Z.  No leaf is a prefix of another, so the leaves come out
+    # sorted.  Stack entries: (sequence, #Z, #X, #X->X, #X->Z adjacencies).
+    leaves: list[tuple[str, tuple[int, int, int]]] = []
+    # Per composition: [terminating arrangements, their X->X, their X->Z].
+    tally: dict[tuple[int, int, int], list[int]] = {}
+    stack = [("", 0, 0, 0, 0)]
+    push = stack.append
     while stack:
-        seq, prob, c_z, c_x = stack.pop()
+        seq, c_z, c_x, xx, xz = stack.pop()
         n = len(seq)
-        if n > 0 and terminated(n, c_z, c_x):
-            leaves.append((seq, prob))
+        if n >= n_req and c_z >= z_req and c_x >= x_req:
+            key = (n, c_z, c_x)
+            counts = tally.get(key)
+            if counts is None:
+                tally[key] = [1, xx, xz]
+            else:
+                counts[0] += 1
+                counts[1] += xx
+                counts[2] += xz
+            leaves.append((seq, key))
             continue
         if n == max_rounds:
             continue  # truncated: non-terminating mass
-        for letter in _LETTERS:
-            p = q[letter]
-            if p == 0:
-                continue
-            stack.append(
-                (seq + letter, prob * p, c_z + (letter == "Z"), c_x + (letter == "X"))
-            )
-
-    total = sum(prob for _, prob in leaves)
-    if total == 0:
-        raise DomainError("no sequence terminates within max_rounds")
-
-    # Arrangement uniformity per (length, composition) group.  Every
-    # arrangement of a composition has the same product probability, so within
-    # a group the conditional law is uniform over the *terminating*
-    # arrangements; TV against uniform-over-all-arrangements is 1 - |S| / M.
-    groups: dict[tuple[int, int, int], int] = {}
-    group_mass: dict[tuple[int, int, int], Fraction] = {}
-    for seq, prob in leaves:
-        key = (len(seq), seq.count("Z"), seq.count("X"))
-        groups[key] = groups.get(key, 0) + 1
-        group_mass[key] = group_mass.get(key, Fraction(0)) + prob
-    tv = Fraction(0)
-    for key, n_term in groups.items():
-        n, c_z, c_x = key
-        c_m = n - c_z - c_x
-        arrangements = (
-            math.factorial(n)
-            // (math.factorial(c_z) * math.factorial(c_x) * math.factorial(c_m))
-        )
-        tv += (group_mass[key] / total) * (1 - Fraction(n_term, arrangements))
+        after_x = seq[-1:] == "X"
+        if q_z:
+            push((seq + "Z", c_z + 1, c_x, xx, xz + after_x))
+        if q_x:
+            push((seq + "X", c_z, c_x + 1, xx + after_x, xz))
+        if q_m:
+            push((seq + "M", c_z, c_x, xx, xz))
 
     # Deterministic prefix-correlated error pattern: an error occurs at round
-    # i exactly when round i-1 was a test round.  Under an exchangeable rule
-    # the error rates on test and code positions coincide; a rule whose
-    # stopping time reads the announcements drives them apart.
-    err_test = Fraction(0)
-    mass_test = Fraction(0)
-    err_code = Fraction(0)
-    mass_code = Fraction(0)
-    for seq, prob in leaves:
-        w = prob / total
-        prev = ""
-        for letter in seq:
-            y = 1 if prev == "X" else 0
-            if letter == "X":
-                mass_test += w
-                if y:
-                    err_test += w
-            elif letter == "Z":
-                mass_code += w
-                if y:
-                    err_code += w
-            prev = letter
+    # i exactly when round i-1 was a test round, so test errors are X->X
+    # adjacencies and code errors X->Z ones.  Under an exchangeable rule the
+    # error rates on test and code positions coincide; a rule whose stopping
+    # time reads the announcements drives them apart.  Each rate is a ratio
+    # of two masses, so their common 1/total factor is left out.
+    prob: dict[tuple[int, int, int], Fraction] = {}
+    total = tv = err_test = err_code = mass_test = mass_code = Fraction(0)
+    for key, (n_term, xx, xz) in tally.items():
+        n, c_z, c_x = key
+        c_m = n - c_z - c_x
+        p = prob[key] = q_z**c_z * q_x**c_x * q_m**c_m
+        mass = p * n_term
+        total += mass
+        # Within a composition the conditional law is uniform over the
+        # *terminating* arrangements; TV against uniform-over-all-arrangements
+        # is 1 - |S| / M.
+        arrangements = math.factorial(n) // (
+            math.factorial(c_z) * math.factorial(c_x) * math.factorial(c_m)
+        )
+        tv += mass * (1 - Fraction(n_term, arrangements))
+        err_test += p * xx
+        err_code += p * xz
+        mass_test += mass * c_x
+        mass_code += mass * c_z
+    if total == 0:
+        raise DomainError("no sequence terminates within max_rounds")
     rate_test = err_test / mass_test if mass_test else Fraction(0)
     rate_code = err_code / mass_code if mass_code else Fraction(0)
 
+    value = {key: float(p / total) for key, p in prob.items()}
     return BiasReport(
         rule=rule,
         n_rounds_enumerated=max_rounds,
-        t_distribution={seq: float(prob / total) for seq, prob in sorted(leaves)},
-        tv_from_uniform=float(tv),
+        t_distribution={seq: value[key] for seq, key in leaves},
+        tv_from_uniform=float(tv / total),
         dependence_detected=rate_test != rate_code,
         terminating_mass=float(total),
         test_error_rate=float(rate_test),

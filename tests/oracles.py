@@ -7,6 +7,9 @@ it imports the package under test, so agreement is meaningful.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 
@@ -169,3 +172,106 @@ def entangled_round_law(
                     p = float(np.trace(joint @ detected).real)
                     law[(basis_a, bit_a, basis_b, outcome)] = p_a * p_b * p
     return law
+
+
+# ---------------------------------------------------------------------------
+# Exact stopping-rule bias, one Fraction product per tree node and per letter.
+
+
+def enumerate_bias_reference(rule: tuple, p_bases: tuple, max_rounds: int) -> dict:
+    """Sequence-by-sequence exact enumeration of a stopping rule's bias.
+
+    ``rule`` is ``("count_detected", n)`` or ``("count_per_basis", n_z, n_x)``.
+    Returns the fields of the package's bias report (all but ``rule``) as a
+    dict, and raises ``ValueError`` when no sequence terminates.  Every
+    probability is carried as a Fraction along each branch, and the error
+    statistic is re-read letter by letter from every terminating sequence.
+    """
+    p_z_a, p_z_b = (Fraction(p) for p in p_bases)
+    q = {
+        "Z": p_z_a * p_z_b,
+        "X": (1 - p_z_a) * (1 - p_z_b),
+    }
+    q["M"] = 1 - q["Z"] - q["X"]
+
+    if rule[0] == "count_detected":
+        target = rule[1]
+
+        def terminated(n: int, c_z: int, c_x: int) -> bool:
+            return n == target
+
+    else:
+        nz_req, nx_req = rule[1], rule[2]
+
+        def terminated(n: int, c_z: int, c_x: int) -> bool:
+            return c_z >= nz_req and c_x >= nx_req
+
+    leaves: list[tuple[str, Fraction]] = []
+    stack: list[tuple[str, Fraction, int, int]] = [("", Fraction(1), 0, 0)]
+    while stack:
+        seq, prob, c_z, c_x = stack.pop()
+        n = len(seq)
+        if n > 0 and terminated(n, c_z, c_x):
+            leaves.append((seq, prob))
+            continue
+        if n == max_rounds:
+            continue  # truncated: non-terminating mass
+        for letter in ("Z", "X", "M"):
+            p = q[letter]
+            if p == 0:
+                continue
+            stack.append(
+                (seq + letter, prob * p, c_z + (letter == "Z"), c_x + (letter == "X"))
+            )
+
+    total = sum(prob for _, prob in leaves)
+    if total == 0:
+        raise ValueError("no sequence terminates within max_rounds")
+
+    groups: dict[tuple[int, int, int], int] = {}
+    group_mass: dict[tuple[int, int, int], Fraction] = {}
+    for seq, prob in leaves:
+        key = (len(seq), seq.count("Z"), seq.count("X"))
+        groups[key] = groups.get(key, 0) + 1
+        group_mass[key] = group_mass.get(key, Fraction(0)) + prob
+    tv = Fraction(0)
+    for key, n_term in groups.items():
+        n, c_z, c_x = key
+        c_m = n - c_z - c_x
+        arrangements = (
+            math.factorial(n)
+            // (math.factorial(c_z) * math.factorial(c_x) * math.factorial(c_m))
+        )
+        tv += (group_mass[key] / total) * (1 - Fraction(n_term, arrangements))
+
+    # An error at round i exactly when round i-1 was a test round.
+    err_test = Fraction(0)
+    mass_test = Fraction(0)
+    err_code = Fraction(0)
+    mass_code = Fraction(0)
+    for seq, prob in leaves:
+        w = prob / total
+        prev = ""
+        for letter in seq:
+            y = 1 if prev == "X" else 0
+            if letter == "X":
+                mass_test += w
+                if y:
+                    err_test += w
+            elif letter == "Z":
+                mass_code += w
+                if y:
+                    err_code += w
+            prev = letter
+    rate_test = err_test / mass_test if mass_test else Fraction(0)
+    rate_code = err_code / mass_code if mass_code else Fraction(0)
+
+    return {
+        "n_rounds_enumerated": max_rounds,
+        "t_distribution": {seq: float(prob / total) for seq, prob in sorted(leaves)},
+        "tv_from_uniform": float(tv),
+        "dependence_detected": rate_test != rate_code,
+        "terminating_mass": float(total),
+        "test_error_rate": float(rate_test),
+        "code_error_rate": float(rate_code),
+    }

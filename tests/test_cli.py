@@ -24,6 +24,7 @@ from qkd_sift.cli import (
     rule_from_dict,
     run,
 )
+from qkd_sift import protocol
 from qkd_sift.errors import ParseError, ValidationError
 from qkd_sift.protocol import CountDetected, CountPerBasis, ProtocolParams
 
@@ -291,6 +292,17 @@ def test_main_run_and_thread_count_determinism(tmp_path, monkeypatch):
         assert main(["run", "--config", cfg_path, "--out", out]) == 0
         outputs.append((tmp_path / "report.json").read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_repeated_lossy_detector_runs_share_one_kernel(tmp_path):
+    # The session kernel is cached by POVM identity; a fresh POVM per run
+    # would rebuild the same laws and strand one dead kernel per run.
+    cfg_path = _write(tmp_path, dict(MINIMAL, eta_det=0.8, seed=3))
+    out = str(tmp_path / "report.json")
+    before = len(protocol._KERNELS)
+    for _ in range(5):
+        assert main(["run", "--config", cfg_path, "--out", out]) == 0
+    assert len(protocol._KERNELS) - before <= 1
 
 
 def test_main_flag_overrides(tmp_path):

@@ -1,10 +1,12 @@
-"""Golden-artifact corpus: every session mode's bytes pinned by sha256.
+"""Golden-artifact corpus: session and bias artifact bytes pinned by sha256.
 
 Each case runs the CLI end to end on a small config and hashes the artifact
-file; the digests in ``golden_digests.json`` were recorded before the session
-loops were merged into one engine, so any change to the draw order or to the
-serialized shape of a ``qkd-sift/v1`` artifact shows up here.  The insecure
-per-basis entry point has no CLI mode and is hashed through the API.
+file; the session digests in ``golden_digests.json`` were recorded before the
+session loops were merged into one engine, and the ``bias`` digests before the
+exact enumeration moved to per-composition arithmetic, so any change to the
+draw order, to an exact result, or to the serialized shape of a
+``qkd-sift/v1`` artifact shows up here.  The insecure per-basis entry point
+has no CLI mode and is hashed through the API.
 
 Regenerate the manifest (only for an intended format change) with::
 
@@ -66,6 +68,21 @@ def _cases() -> dict[str, dict]:
             "seed": 9,
             "eta_det": 0.8,
         }
+    # Exact stopping-rule bias: both rule kinds at a uniform and a skewed
+    # basis choice.
+    rules = {
+        "count_detected-5-k6": ({"kind": "count_detected", "n": 5}, 6),
+        "count_per_basis-2-2-k8": ({"kind": "count_per_basis", "n_z_req": 2, "n_x_req": 2}, 8),
+    }
+    for name, (rule, k) in rules.items():
+        for p_z_a, p_z_b in ((0.5, 0.5), (0.6, 0.7)):
+            cases[f"bias-{name}-p{p_z_a}-{p_z_b}"] = {
+                "mode": "bias",
+                "params": {**PARAMS, "p_z_a": p_z_a, "p_z_b": p_z_b},
+                "strategy": STRATEGIES["identity_lossy"],
+                "rule": rule,
+                "bias_max_rounds": k,
+            }
     return cases
 
 

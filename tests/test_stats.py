@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -302,6 +303,40 @@ def test_enumeration_matches_brute_force(rule, p_bases):
         assert rep.t_distribution[seq] == pytest.approx(
             float(prob / total), abs=1e-15
         )
+
+
+def _enumeration_cases(family):
+    if family == "count_detected":
+        for k in range(1, 9):
+            for n in range(1, k + 1):
+                yield CountDetected(n), ("count_detected", n), k
+    else:
+        for a, b in itertools.product((1, 2, 3), repeat=2):
+            for k in (1, 2, 5, 8):
+                yield CountPerBasis(a, b), ("count_per_basis", a, b), k
+
+
+@pytest.mark.parametrize("family", ["count_detected", "count_per_basis"])
+@pytest.mark.parametrize(
+    "p_bases", [(0.5, 0.5), (0.7, 0.6), (0.8, 0.65), (1.0, 1.0), (1.0, 0.3)]
+)
+def test_enumeration_equals_the_sequence_walk_exactly(family, p_bases):
+    """Every report field equals the per-sequence Fraction walk, bit for bit."""
+    for rule, plain_rule, k in _enumeration_cases(family):
+        try:
+            want = oracles.enumerate_bias_reference(plain_rule, p_bases, k)
+        except ValueError:
+            with pytest.raises(DomainError):
+                enumerate_bias(rule, p_bases, k)
+            continue
+        rep = enumerate_bias(rule, p_bases, k)
+        assert rep.rule == rule
+        for field, value in want.items():
+            got = getattr(rep, field)
+            if field == "t_distribution":
+                assert list(got.items()) == list(value.items()), (rule, k)
+            else:
+                assert got == value, (rule, k, field)
 
 
 @settings(max_examples=25)
