@@ -6,6 +6,15 @@ can be classically adaptive round by round but can never peek ahead; the
 interface gives it nothing else to depend on.  Emitted channel operations are
 validated as trace preserving when they are constructed.
 
+The prefix is a :class:`~qkd_sift.protocol.Transcript`.  It stores the
+announcements as ``bytearray`` columns with one entry per emitted round:
+``detected`` (0/1), ``basis_b`` and ``basis_a`` (``Basis.value``; ``basis_a``
+is 0 on undetected rounds), plus ``detected_basis_b``, Bob's basis of each
+detected round in order.  A strategy can read the columns directly, as the
+adaptive tracker does with ``detected_basis_b[-window:]``, or walk
+``prefix.rounds``, a read-only lazy view that builds a ``RoundRecord`` per
+round on access (``len``, indexing, slices, iteration, ``reversed``).
+
 Built-in strategies return module-lifetime ChannelOp instances instead of
 building fresh ones per round.  That is not just thrift: the protocol engine
 memoizes the Born/Kraus algebra per ChannelOp instance, which turns the
@@ -195,23 +204,17 @@ def make_strategy(cfg: StrategyConfig) -> EveStrategy:
         dephase = {Basis.Z: dephasing_channel(Basis.Z), Basis.X: dephasing_channel(Basis.X)}
         window = cfg.window
         gain = cfg.bias_gain
+        z_value = Basis.Z.value
 
         def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:
-            # Recomputed from the prefix every round: the strategy interface
-            # is stateless so concurrent sessions can share this closure.
-            seen = 0
-            n_z = 0
-            for rec in reversed(prefix.rounds):
-                if not rec.detected:
-                    continue
-                seen += 1
-                if rec.basis_b is Basis.Z:
-                    n_z += 1
-                if seen == window:
-                    break
+            # Recomputed from the prefix every round, so sessions can share
+            # this closure.  The transcript keeps the detected rounds' bases
+            # as a column, so the window costs one slice and one C-level count.
+            recent = prefix.detected_basis_b[-window:]
+            seen = len(recent)
             if seen == 0:
                 return identity
-            f_z = n_z / seen
+            f_z = recent.count(z_value) / seen
             p_attack = gain * abs(2.0 * f_z - 1.0)
             if p_attack <= 0.0 or rng.random() >= min(p_attack, 1.0):
                 return identity

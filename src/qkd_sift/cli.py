@@ -25,6 +25,7 @@ from typing import Any, Callable
 from . import finite_key, stats
 from .adversary import (
     Depolarizing,
+    EveStrategy,
     IdentityLossy,
     StrategyConfig,
     make_strategy,
@@ -291,16 +292,22 @@ def emit_config(cfg: RunConfig, path: str) -> None:
 # Mode runners
 
 
-# The session kernel is cached per POVM object, so every run at one efficiency
-# must hand it the same POVM or the kernel rebuilds the same laws.
+# The session kernel is cached per POVM object and its laws per ChannelOp
+# object, so every run at one efficiency must hand it the same POVM, and every
+# run of one strategy config the same ops, or the kernel rebuilds the same laws.
 @functools.lru_cache(maxsize=16)
 def _povm_for(eta_det: float) -> BobPOVM:
     return ideal_povm() if eta_det == 1.0 else detection_povm(eta_det)
 
 
+@functools.lru_cache(maxsize=16)
+def _strategy_for(cfg: StrategyConfig) -> EveStrategy:
+    return make_strategy(cfg)
+
+
 def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
     povm = _povm_for(cfg.eta_det)
-    eve = make_strategy(cfg.strategy)
+    eve = _strategy_for(cfg.strategy)
     runner = run_actual if cfg.mode == "actual" else run_virtual
     attach_detail = cfg.trials == 1
 
@@ -328,7 +335,7 @@ def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
 
 def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
     povm = _povm_for(cfg.eta_det)
-    eve = make_strategy(cfg.strategy)
+    eve = _strategy_for(cfg.strategy)
 
     def one(i: int) -> dict:
         run = run_estimation(cfg.params, eve, derive_stream(cfg.seed, i), povm=povm)
@@ -366,7 +373,7 @@ def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
 
 
 def _coverage_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
-    eve = make_strategy(cfg.strategy)
+    eve = _strategy_for(cfg.strategy)
     trial_stats = stats.coverage_trials(
         cfg.params,
         eve,

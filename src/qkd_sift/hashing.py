@@ -6,9 +6,12 @@ and the output key is ``T @ key mod 2``.  Computing it as a convolution keeps
 the construction obviously identical to that definition.
 
 Error verification tags come from evaluating the key, read as polynomial
-coefficients, at a random point of a prime field.  Drawing the modulus and the
-point costs ``ceil(log2(2 / eps_c))`` bits of pre-shared randomness, which the
-caller accounts for.
+coefficients, at a random point of a prime field.  The prime and the point are
+drawn from pre-shared randomness; :func:`random_prime` takes ``bits`` bits and
+:func:`random_below` reports how many it took, so the caller can account for
+them.  Primality is decided exactly: :func:`random_prime` refuses sizes whose
+range reaches the bound below which the Miller-Rabin witness set is
+deterministic.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import numpy as np
 from .errors import DomainError
 from .quantum_core import RandomStream
 
-# Deterministic Miller-Rabin witness set: exact for n < 3.3e24, far above any
-# modulus we draw (eps_c >= 1e-18 keeps moduli under 2^62).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as witnesses is exact for every
+# n < _MR_EXACT_BELOW (Sorenson and Webster, Math. Comp. 86 (2017) 985).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def random_bits(rng: RandomStream, n: int) -> np.ndarray:
@@ -74,7 +78,10 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, seed_bits: np.ndarray) -> np.n
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set (deterministic below 3.3e24)."""
+    """Miller-Rabin with a fixed witness set: exact for n < 3.3e24.
+
+    Above that bound a composite could pass, hence the name.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -99,9 +106,18 @@ def is_probable_prime(n: int) -> bool:
 
 
 def random_prime(rng: RandomStream, bits: int) -> int:
-    """A random prime in [2**bits, 2**(bits+1))."""
+    """A random prime in [2**bits, 2**(bits+1)), drawn with ``bits`` random bits.
+
+    Raises DomainError unless 2 <= bits and the whole range lies below 3.3e24,
+    where :func:`is_probable_prime` is exact (bits <= 80).
+    """
     if bits < 2:
         raise DomainError(f"prime size must be >= 2 bits, got {bits}")
+    if 1 << (bits + 1) > _MR_EXACT_BELOW:
+        raise DomainError(
+            f"{bits}-bit primes reach past {_MR_EXACT_BELOW}, where primality "
+            "is no longer decided exactly"
+        )
     candidate = (1 << bits) | rng.getrandbits(bits) | 1
     while True:
         if candidate >= (1 << (bits + 1)):
@@ -109,6 +125,23 @@ def random_prime(rng: RandomStream, bits: int) -> int:
         if is_probable_prime(candidate):
             return candidate
         candidate += 2
+
+
+def random_below(rng: RandomStream, n: int) -> tuple[int, int]:
+    """A uniform integer in [0, n) and the number of random bits drawn for it.
+
+    Rejection sampling on ``n.bit_length()``-bit draws, the same draws that
+    ``random.Random.randrange(n)`` makes.
+    """
+    if n < 1:
+        raise DomainError(f"range must be >= 1, got {n}")
+    k = n.bit_length()
+    drawn = k
+    value = rng.getrandbits(k)
+    while value >= n:
+        value = rng.getrandbits(k)
+        drawn += k
+    return value, drawn
 
 
 def poly_hash(bits: np.ndarray, modulus: int, point: int) -> int:

@@ -30,8 +30,11 @@ sub-stream, so a (seed, trial index) pair fully determines a session.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -168,16 +171,84 @@ class RoundRecord(NamedTuple):
     basis_a: Basis | None
 
 
-@dataclass
-class Transcript:
-    """Everything public: parameters and the per-round announcement records."""
+_BASES = tuple(Basis)  # indexed by ``Basis.value``
 
-    params: ProtocolParams
-    rounds: list[RoundRecord] = field(default_factory=list)
+
+class Transcript:
+    """Everything public: parameters and the per-round announcements.
+
+    The announcements are stored as ``bytearray`` columns with one entry per
+    emitted round; the round index is the position + 1.
+
+    * ``detected``: 1 if the round was announced as detected, else 0;
+    * ``basis_b``: Bob's announced basis as ``Basis.value``;
+    * ``basis_a``: Alice's announced basis as ``Basis.value``, 0 when the
+      round is undetected;
+    * ``detected_basis_b``: Bob's basis of each detected round, in order.
+
+    ``rounds`` is a read-only, lazy view that yields :class:`RoundRecord`s.
+    ``Transcript(params, rounds=records)`` fills the columns from records
+    numbered 1, 2, 3, ...
+    """
+
+    def __init__(self, params: ProtocolParams, rounds: Iterable[RoundRecord] = ()) -> None:
+        self.params = params
+        self.detected = bytearray()
+        self.basis_b = bytearray()
+        self.basis_a = bytearray()
+        self.detected_basis_b = bytearray()
+        for position, rec in enumerate(rounds, 1):
+            if rec.index != position:
+                raise ValidationError(
+                    f"round records must be numbered 1, 2, ...; got {rec.index} at {position}"
+                )
+            self.detected.append(1 if rec.detected else 0)
+            self.basis_b.append(rec.basis_b.value)
+            if rec.detected:
+                self.basis_a.append(rec.basis_a.value)
+                self.detected_basis_b.append(rec.basis_b.value)
+            else:
+                self.basis_a.append(0)
+
+    @property
+    def rounds(self) -> _RoundsView:
+        return _RoundsView(self)
 
     @property
     def n_detected(self) -> int:
-        return sum(1 for r in self.rounds if r.detected)
+        return len(self.detected_basis_b)
+
+
+class _RoundsView(Sequence):
+    """The rounds of a transcript as :class:`RoundRecord`s, built on access.
+
+    Supports ``len``, indexing (negative too) and slices (as lists); the
+    ``Sequence`` mixins add iteration and ``reversed``.  It reads the columns
+    live, so a view taken during a session sees the rounds emitted since.
+    """
+
+    def __init__(self, transcript: Transcript) -> None:
+        self._transcript = transcript
+
+    def __len__(self) -> int:
+        return len(self._transcript.detected)
+
+    def _record(self, i: int) -> RoundRecord:
+        t = self._transcript
+        if t.detected[i]:
+            return RoundRecord(i + 1, True, _BASES[t.basis_b[i]], _BASES[t.basis_a[i]])
+        return RoundRecord(i + 1, False, _BASES[t.basis_b[i]], None)
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return [self._record(j) for j in range(*i.indices(n))]
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("round index out of range")
+        return self._record(i)
 
 
 @dataclass(frozen=True)
@@ -515,6 +586,7 @@ def _session(
     batch = params.batch_size
     max_rounds = params.max_rounds
     Z, X = Basis.Z, Basis.X
+    Z_VALUE, X_VALUE = Z.value, X.value
 
     # Stop once n_det >= det_target and both quotas fill; exactly one of the
     # two conditions is live for a given rule.
@@ -524,8 +596,11 @@ def _session(
     else:
         det_target, nz_req, nx_req = 0, rule.n_z_req, rule.n_x_req
 
-    rounds: list[RoundRecord] = []
-    transcript = Transcript(params=params, rounds=rounds)
+    transcript = Transcript(params)
+    announce_detected = transcript.detected.append
+    announce_basis_b = transcript.basis_b.append
+    announce_basis_a = transcript.basis_a.append
+    note_detected_basis_b = transcript.detected_basis_b.append
     # Z- and X-agreed bits.  Actual: the sifted strings.  Estimation: az/bz
     # hold the X readouts of the Z-agreed pairs.  Virtual: filled by the
     # deferred readout of ``kept`` after the loop.
@@ -574,15 +649,18 @@ def _session(
                 # Threshold filled while this round was in flight: announce it
                 # as non-detected so the detected count stays exact.
                 detected = False
+            b_value = Z_VALUE if b_is_z else X_VALUE
+            announce_basis_b(b_value)
             if not detected:
-                rounds.append(RoundRecord(idx, False, Z if b_is_z else X, None))
+                announce_detected(0)
+                announce_basis_a(0)
                 continue
             n_det += 1
             if not actual:
                 a_is_z = rand() < p_z_a
-            rounds.append(
-                RoundRecord(idx, True, Z if b_is_z else X, Z if a_is_z else X)
-            )
+            announce_detected(1)
+            announce_basis_a(Z_VALUE if a_is_z else X_VALUE)
+            note_detected_basis_b(b_value)
             if actual:
                 if a_is_z:
                     if b_is_z:
@@ -679,10 +757,14 @@ def postprocess(
 
     Error correction is idealized — Bob's string is replaced by Alice's and
     the syndrome cost lambda_ec is charged against the key length.  Privacy
-    amplification is the seeded Toeplitz hash; verification tags come from the
-    polynomial hash, consuming ceil(log2(2/eps_c)) bits of pre-shared key.
-    Raises the ProtocolAbort subclasses on a non-positive key length or tag
-    mismatch, and propagates the aborts of the bound pipeline.
+    amplification is the seeded Toeplitz hash.  Verification tags come from
+    the polynomial hash of the l-bit keys over a prime p >= 2(l-1)/eps_c, so
+    two different keys collide with probability at most (l-1)/p <= eps_c/2;
+    ``consumed_preshared_bits`` counts the pre-shared bits that drawing p and
+    the evaluation point took.  Raises the ProtocolAbort subclasses on a
+    non-positive key length or tag mismatch, propagates the aborts of the
+    bound pipeline, and raises DomainError when p would exceed the range in
+    which primality is decided exactly.
     """
     result = finite_key.pipeline(sifted, params)
     if result.l <= 0:
@@ -696,9 +778,12 @@ def postprocess(
     f_az = hashing.toeplitz_hash(sifted.s_az, l, seed_bits)
     f_bz = hashing.toeplitz_hash(corrected_b, l, seed_bits)
 
-    tag_bits = math.ceil(math.log2(2.0 / params.eps_c))
+    # The least tag_bits with 2**tag_bits >= 2(l-1)/eps_c, in exact
+    # arithmetic; random_prime draws p >= 2**tag_bits.
+    p_min = Fraction(2 * max(l - 1, 1)) / Fraction(params.eps_c)
+    tag_bits = (math.ceil(p_min) - 1).bit_length()
     modulus = hashing.random_prime(rng, tag_bits)
-    point = rng.randrange(modulus)
+    point, point_bits = hashing.random_below(rng, modulus)
     tag_a = hashing.poly_hash(f_az, modulus, point)
     tag_b = hashing.poly_hash(f_bz, modulus, point)
     meta = {
@@ -707,7 +792,7 @@ def postprocess(
         "poly_point": point,
         "tag_a": tag_a,
         "tag_b": tag_b,
-        "consumed_preshared_bits": tag_bits,
+        "consumed_preshared_bits": tag_bits + point_bits,
         "lambda_ec": result.lambda_ec,
         "key_length": l,
     }
@@ -737,17 +822,14 @@ def hex_to_bits(hex_str: str, n_bits: int) -> np.ndarray:
 
 
 def transcript_to_json(transcript: Transcript) -> dict:
+    names = [basis.name for basis in _BASES]
+    columns = zip(transcript.detected, transcript.basis_b, transcript.basis_a)
     return {
-        "n_rounds": len(transcript.rounds),
+        "n_rounds": len(transcript.detected),
         "n_detected": transcript.n_detected,
         "rounds": [
-            [
-                r.index,
-                1 if r.detected else 0,
-                r.basis_b.name,
-                r.basis_a.name if r.basis_a is not None else None,
-            ]
-            for r in transcript.rounds
+            [i, d, names[b], names[a] if d else None]
+            for i, (d, b, a) in enumerate(columns, 1)
         ],
     }
 

@@ -275,3 +275,38 @@ def enumerate_bias_reference(rule: tuple, p_bases: tuple, max_rounds: int) -> di
         "test_error_rate": float(rate_test),
         "code_error_rate": float(rate_code),
     }
+
+
+# ---------------------------------------------------------------------------
+# The adaptive basis tracker as a rescan of the prefix's round records.
+
+
+def adaptive_tracker_reference(window, gain, identity, dephase, z_basis, x_basis):
+    """The tracker's ``behavior`` walking ``reversed(prefix.rounds)``.
+
+    ``identity`` and ``dephase`` (keyed by basis) are the ops the strategy
+    returns; ``z_basis``/``x_basis`` are the basis labels the records carry.
+    """
+
+    def behavior(prefix, rng):
+        # Recomputed from the prefix every round: the strategy interface
+        # is stateless so concurrent sessions can share this closure.
+        seen = 0
+        n_z = 0
+        for rec in reversed(prefix.rounds):
+            if not rec.detected:
+                continue
+            seen += 1
+            if rec.basis_b is z_basis:
+                n_z += 1
+            if seen == window:
+                break
+        if seen == 0:
+            return identity
+        f_z = n_z / seen
+        p_attack = gain * abs(2.0 * f_z - 1.0)
+        if p_attack <= 0.0 or rng.random() >= min(p_attack, 1.0):
+            return identity
+        return dephase[z_basis if f_z > 0.5 else x_basis]
+
+    return behavior

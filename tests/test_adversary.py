@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from qkd_sift.adversary import (
     AdaptiveBasisTracker,
     Depolarizing,
@@ -169,6 +170,39 @@ def test_adaptive_tracker_skips_undetected_rounds():
     )
     op = strat.behavior(prefix, random.Random(0))
     assert np.array_equal(op.deliver_kraus[0], np.diag([1.0, 0.0]))
+
+
+def _closure(fn):
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+
+
+def _random_prefix(rng, length):
+    """Records mixing detected and undetected rounds at a random Z skew."""
+    p_det = rng.choice((0.2, 0.6, 1.0))
+    p_z = rng.random()
+    bases = [Basis.Z if rng.random() < p_z else Basis.X for _ in range(length)]
+    detected = [rng.random() < p_det for _ in range(length)]
+    return _prefix(bases, detected)
+
+
+@pytest.mark.parametrize("window", [1, 3, 16, 1000])
+@pytest.mark.parametrize("gain", [0.0, 0.5, 1.5])
+def test_adaptive_tracker_matches_the_prefix_rescan(window, gain):
+    strat = make_strategy(AdaptiveBasisTracker(window=window, bias_gain=gain))
+    ops = _closure(strat.behavior)
+    reference = oracles.adaptive_tracker_reference(
+        window, gain, ops["identity"], ops["dephase"], Basis.Z, Basis.X
+    )
+    gen = random.Random(window * 10 + int(10 * gain))
+    attacked = 0
+    for case in range(300):
+        prefix = _random_prefix(gen, gen.randrange(0, 60))
+        eve_rng, twin = random.Random(case), random.Random(case)
+        op = strat.behavior(prefix, eve_rng)
+        assert op is reference(prefix, twin)
+        assert eve_rng.getstate() == twin.getstate()
+        attacked += op is not ops["identity"]
+    assert (attacked > 0) == (gain > 0.0)
 
 
 def test_config_validation():

@@ -305,6 +305,29 @@ def test_repeated_lossy_detector_runs_share_one_kernel(tmp_path):
     assert len(protocol._KERNELS) - before <= 1
 
 
+def test_repeated_runs_of_one_strategy_build_laws_once(tmp_path, monkeypatch):
+    # Kernel laws are memoized per ChannelOp object; a fresh strategy per run
+    # would mint fresh ops and rebuild the same laws on every run.
+    builds = []
+    for name in ("_build_actual", "_build_virtual"):
+        build = getattr(protocol._RoundKernel, name)
+
+        def counted(self, op, build=build):
+            builds.append(op)
+            return build(self, op)
+
+        monkeypatch.setattr(protocol._RoundKernel, name, counted)
+    doc = dict(MINIMAL, mode="actual", strategy={"kind": "depolarizing", "p": 0.07, "p_loss": 0.1})
+    cfg_path = _write(tmp_path, doc)
+    out = str(tmp_path / "report.json")
+    per_run = []
+    for _ in range(5):
+        before = len(builds)
+        assert main(["run", "--config", cfg_path, "--out", out]) == 0
+        per_run.append(len(builds) - before)
+    assert per_run[1:] == [0, 0, 0, 0]
+
+
 def test_main_flag_overrides(tmp_path):
     cfg_path = _write(tmp_path, MINIMAL)
     out = str(tmp_path / "o.csv")

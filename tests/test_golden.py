@@ -68,6 +68,16 @@ def _cases() -> dict[str, dict]:
             "seed": 9,
             "eta_det": 0.8,
         }
+        # The tracker's window over a prefix with undetected and in-flight
+        # discarded rounds.
+        cases[f"{mode}-tracker-batch4-eta0.8"] = {
+            "mode": mode,
+            "params": {**PARAMS, "batch_size": 4},
+            "strategy": {**STRATEGIES["adaptive_basis_tracker"], "window": 3},
+            "trials": 3,
+            "seed": 9,
+            "eta_det": 0.8,
+        }
     # Exact stopping-rule bias: both rule kinds at a uniform and a skewed
     # basis choice.
     rules = {

@@ -12,6 +12,7 @@ from qkd_sift.errors import DomainError
 from qkd_sift.hashing import (
     is_probable_prime,
     poly_hash,
+    random_below,
     random_bits,
     random_prime,
     toeplitz_hash,
@@ -105,6 +106,35 @@ def test_random_prime_in_range_and_prime():
 
 def test_random_prime_deterministic():
     assert random_prime(random.Random(1), 32) == random_prime(random.Random(1), 32)
+
+
+def test_random_prime_refuses_sizes_past_the_exact_witness_range():
+    # The 13-prime witness set decides primality exactly below 3.3e24;
+    # 80-bit primes stay below it, 81-bit ones may not.
+    p = random_prime(random.Random(2), 80)
+    assert (1 << 80) <= p < (1 << 81) < 3_317_044_064_679_887_385_961_981
+    with pytest.raises(DomainError):
+        random_prime(random.Random(2), 81)
+
+
+def test_primality_is_exact_at_the_top_of_the_witness_range():
+    # The least strong pseudoprime to all twelve bases 2..37 (a witness set
+    # without 41 calls it prime), and a product of two primes near 2**40.
+    assert not is_probable_prime(318_665_857_834_031_151_167_461)
+    assert not is_probable_prime((2**40 - 87) * (2**40 - 167))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 1000, 2**37 + 5, 2**61 - 1])
+def test_random_below_counts_the_draws_randrange_makes(n):
+    for seed in range(20):
+        rng, twin = random.Random(seed), random.Random(seed)
+        value, drawn = random_below(rng, n)
+        assert value == twin.randrange(n)
+        assert rng.getstate() == twin.getstate()
+        k = n.bit_length()
+        assert drawn >= k and drawn % k == 0
+    with pytest.raises(DomainError):
+        random_below(random.Random(0), 0)
 
 
 @settings(max_examples=50)

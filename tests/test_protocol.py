@@ -1,6 +1,5 @@
 """Session loops: termination, announcements, law agreement, distillation."""
 
-import math
 import random
 
 import numpy as np
@@ -31,7 +30,9 @@ from qkd_sift.protocol import (
     CountDetected,
     CountPerBasis,
     ProtocolParams,
+    RoundRecord,
     SiftedData,
+    Transcript,
     _RoundKernel,
     bits_to_hex,
     derive_stream,
@@ -232,6 +233,55 @@ def test_strategies_see_only_completed_rounds():
         params, EveStrategy("spy", spy), derive_stream(10, 0)
     )
     assert seen == list(range(len(transcript.rounds)))
+
+
+# -- transcript columns and the rounds view ------------------------------------
+
+
+def test_transcript_view_round_trips_its_records():
+    gen = random.Random(3)
+    recs = []
+    for i in range(1, 41):
+        detected = gen.random() < 0.6
+        basis_a = gen.choice((Basis.Z, Basis.X)) if detected else None
+        recs.append(RoundRecord(i, detected, gen.choice((Basis.Z, Basis.X)), basis_a))
+    transcript = Transcript(_params(n=12), rounds=recs)
+    view = transcript.rounds
+    assert len(view) == 40
+    assert list(view) == recs
+    assert [view[i] for i in range(-40, 40)] == recs + recs
+    assert view[-1] == recs[-1]
+    for part in (slice(None), slice(5, 17), slice(-7, None), slice(None, None, -3), slice(30, 2, -2)):
+        assert view[part] == recs[part]
+    assert list(reversed(view)) == recs[::-1]
+    assert transcript.n_detected == sum(r.detected for r in recs)
+    assert all(type(r.detected) is bool for r in view)
+    with pytest.raises(IndexError):
+        view[40]
+    with pytest.raises(IndexError):
+        view[-41]
+    # The index is the position, so records must come numbered from 1.
+    with pytest.raises(ValidationError):
+        Transcript(_params(n=12), rounds=recs[1:])
+
+
+def test_session_columns_agree_with_their_records():
+    params = ProtocolParams(
+        p_z_a=0.6, p_x_a=0.4, p_z_b=0.7, p_x_b=0.3,
+        n_det_ter=200, eps_s=1e-9, eps_c=1e-12, delta=0.1, batch_size=4,
+    )
+    eve = make_strategy(AdaptiveBasisTracker(window=3, bias_gain=1.5))
+    transcript, _ = run_actual(params, eve, derive_stream(8, 0), povm=detection_povm(0.8))
+    recs = list(transcript.rounds)
+    assert any(not r.detected for r in recs)
+    rebuilt = Transcript(params, rounds=recs)
+    for column in ("detected", "basis_b", "basis_a", "detected_basis_b"):
+        assert getattr(rebuilt, column) == getattr(transcript, column)
+    assert transcript_to_json(transcript)["rounds"] == [
+        [r.index, int(r.detected), r.basis_b.name, r.basis_a.name if r.detected else None]
+        for r in recs
+    ]
+    assert transcript.n_detected == params.n_det_ter
 
 
 def test_basis_choices_are_independent_of_the_prefix():
@@ -522,7 +572,13 @@ def test_postprocess_distills_matching_keys_at_scale():
     assert np.array_equal(keys.f_az, keys.f_bz)
     assert keys.meta["tag_a"] == keys.meta["tag_b"]
     assert keys.lambda_ec == 0
-    assert keys.meta["consumed_preshared_bits"] == math.ceil(math.log2(2.0 / 1e-6))
+    # The tag prime is sized for the key, so (l - 1)/p <= eps_c/2 ...
+    l = len(keys.f_az)
+    assert keys.meta["poly_modulus"] >= 2 * (l - 1) / 1e-6
+    assert keys.meta["poly_modulus"].bit_length() == 38
+    # ... and the pre-shared bits are those drawn: 37 for the prime, then
+    # three rejection-sampled 38-bit draws for the point.
+    assert keys.meta["consumed_preshared_bits"] == 37 + 3 * 38
 
 
 def test_postprocess_aborts_when_too_short():
