@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -46,11 +47,14 @@ from .protocol import (
     CountPerBasis,
     ProtocolParams,
     TerminationRule,
+    Transcript,
     derive_stream,
     run_actual,
     run_estimation,
     run_virtual,
     sifted_to_json,
+    transcript_counts,
+    transcript_rounds_to_json,
     transcript_to_json,
 )
 from .quantum_core import BobPOVM, detection_povm, ideal_povm
@@ -323,7 +327,8 @@ def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
             "x_error_weight": sifted.x_error_weight(),
         }
         if attach_detail:
-            rec["transcript"] = transcript_to_json(transcript)
+            # Rendered by render_report straight from the columns.
+            rec["transcript"] = transcript
             rec["sifted"] = sifted_to_json(sifted)
         return rec
 
@@ -509,11 +514,47 @@ def _sweep_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
 # Report emission
 
 
+# The ``rounds`` value of a transcript's stand-in, formatted with a salt.
+_ROUNDS_MARKER = "\x00rounds {}"
+
+
+def _json_text(envelope: dict) -> str:
+    """``json.dumps(envelope, indent=2) + "\\n"``, a Transcript anywhere in the
+    envelope written as :func:`transcript_to_json` would write it.
+
+    Each Transcript is encoded as a stand-in object whose ``rounds`` is a
+    marker string, and the rows are spliced in at the marker, at the indent of
+    its line.  Config strings are user text and could hold a marker, so one
+    is used only if it occurs exactly once per stand-in; otherwise the next
+    salt is tried.
+    """
+    for salt in itertools.count():
+        marker = _ROUNDS_MARKER.format(salt)
+        transcripts: list[Transcript] = []
+
+        def stand_in(obj: object) -> dict:
+            if not isinstance(obj, Transcript):
+                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            transcripts.append(obj)
+            return {**transcript_counts(obj), "rounds": marker}
+
+        text = json.dumps(envelope, indent=2, default=stand_in) + "\n"
+        pieces = text.split(json.dumps(marker))
+        if len(pieces) == len(transcripts) + 1:
+            break
+    out = [pieces[0]]
+    for transcript, piece in zip(transcripts, pieces[1:]):
+        key_line = out[-1][out[-1].rfind("\n") + 1 :]
+        depth = (len(key_line) - len(key_line.lstrip(" "))) // 2
+        out += [transcript_rounds_to_json(transcript, depth), piece]
+    return "".join(out)
+
+
 def render_report(
     envelope: dict, header: list[str], rows: list[list], fmt: str
 ) -> str:
     if fmt == "json":
-        return json.dumps(envelope, indent=2) + "\n"
+        return _json_text(envelope)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -616,6 +616,10 @@ def _session(
     lambda_xerr = 0
     n_det = 0
     idx = 0
+    # The last op and its law: most strategies return one op all session, so
+    # the kernel is asked only when the op changes.  Holding the op keeps its
+    # id from being reused.
+    last_op = law = None
 
     while n_det < det_target or len(az) < nz_req or len(ax) < nx_req:
         if idx >= max_rounds:
@@ -626,7 +630,10 @@ def _session(
             if idx >= max_rounds:
                 break
             idx += 1
-            law = law_of(behavior(transcript, eve_rng))
+            op = behavior(transcript, eve_rng)
+            if op is not last_op:
+                law = law_of(op)
+                last_op = op
             if actual:
                 a_is_z = rand() < p_z_a
                 a_bit = getrandbits(1)
@@ -821,17 +828,58 @@ def hex_to_bits(hex_str: str, n_bits: int) -> np.ndarray:
     return np.unpackbits(raw)[:n_bits].astype(np.uint8)
 
 
+def transcript_counts(transcript: Transcript) -> dict:
+    """The fields of :func:`transcript_to_json` that precede ``rounds``."""
+    return {"n_rounds": len(transcript.detected), "n_detected": transcript.n_detected}
+
+
 def transcript_to_json(transcript: Transcript) -> dict:
     names = [basis.name for basis in _BASES]
     columns = zip(transcript.detected, transcript.basis_b, transcript.basis_a)
     return {
-        "n_rounds": len(transcript.detected),
-        "n_detected": transcript.n_detected,
+        **transcript_counts(transcript),
         "rounds": [
             [i, d, names[b], names[a] if d else None]
             for i, (d, b, a) in enumerate(columns, 1)
         ],
     }
+
+
+def transcript_rounds_to_json(transcript: Transcript, depth: int) -> str:
+    """The ``rounds`` array of :func:`transcript_to_json` as JSON text.
+
+    The text is what ``json.dumps(..., indent=2)`` writes for that array when
+    it sits at nesting depth ``depth`` (the value of a key whose line is
+    indented by ``2 * depth`` spaces), but it is built from the columns without
+    the per-round lists.  A round's row depends only on its index and on the
+    3-bit code (detected, basis_b, basis_a), so each code has one template
+    and the rows are joined in C.
+    """
+    n = len(transcript.detected)
+    if n == 0:
+        return "[]"
+    outer = "\n" + "  " * depth
+    row = outer + "  "
+    item = row + "  "
+    tails = []
+    for code in range(8):
+        detected, basis_b, basis_a = code >> 2, (code >> 1) & 1, code & 1
+        announced_a = f'"{_BASES[basis_a].name}"' if detected else "null"
+        tails.append(
+            f',{item}{detected},{item}"{_BASES[basis_b].name}",{item}{announced_a}{row}]'
+        )
+    # Each index is followed by its row's tail and the opening of the next row.
+    between = [f"{tail},{row}[{item}" for tail in tails]
+    codes = (
+        (np.frombuffer(transcript.detected, dtype=np.uint8) << 2)
+        | (np.frombuffer(transcript.basis_b, dtype=np.uint8) << 1)
+        | np.frombuffer(transcript.basis_a, dtype=np.uint8)
+    ).tolist()
+    parts: list[str] = [""] * (2 * n)
+    parts[0::2] = map(str, range(1, n + 1))
+    parts[1::2] = map(between.__getitem__, codes)
+    parts[-1] = tails[codes[-1]] + outer + "]"
+    return f"[{row}[{item}" + "".join(parts)
 
 
 def sifted_to_json(sifted: SiftedData) -> dict:

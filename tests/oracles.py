@@ -7,6 +7,9 @@ it imports the package under test, so agreement is meaningful.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -310,3 +313,21 @@ def adaptive_tracker_reference(window, gain, identity, dephase, z_basis, x_basis
         return dephase[z_basis if f_z > 0.5 else x_basis]
 
     return behavior
+
+
+def render_report_reference(envelope, header, rows, fmt, default=None):
+    """A report's text as the generic encoders write it.
+
+    JSON goes through ``json.dumps(envelope, indent=2)`` whole, the pure-Python
+    encoder that the CLI used for every artifact before transcripts were
+    written from their columns; ``default`` converts the objects it cannot
+    encode (pass the package's ``transcript_to_json``).  CSV is one header
+    line and one line per row.
+    """
+    if fmt == "json":
+        return json.dumps(envelope, indent=2, default=default) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -1,6 +1,7 @@
 """Config schema, report envelopes, CLI entry points, thread determinism."""
 
 import csv
+import functools
 import io
 import json
 import subprocess
@@ -8,6 +9,8 @@ import sys
 
 import pytest
 
+import oracles
+from qkd_sift import cli
 from qkd_sift.adversary import Depolarizing, IdentityLossy
 from qkd_sift.cli import (
     MODES,
@@ -212,6 +215,78 @@ def test_bias_csv_lists_the_conditional_distribution(tmp_path):
 def test_render_report_with_no_rows_is_header_only():
     text = render_report({}, ["a", "b"], [], "csv")
     assert text == "a,b\n"
+
+
+# -- transcripts written from their columns -----------------------------------
+
+_reference_report = functools.partial(
+    oracles.render_report_reference, default=protocol.transcript_to_json
+)
+
+_SESSION_CASES = {
+    "lossy": {"strategy": {"kind": "depolarizing", "p": 0.1, "p_loss": 0.6}},
+    "batched": {"params": {"batch_size": 7}},
+    "eta0.8": {"eta_det": 0.8},
+    "trials3": {"trials": 3, "eta_det": 0.8, "params": {"batch_size": 7}},
+    "one-round": {"params": {"n_det_ter": 1}},
+}
+
+
+def _session_doc(mode, case, **extra):
+    overrides = _SESSION_CASES[case]
+    doc = {**MINIMAL, "mode": mode, "seed": 4, **overrides, **extra}
+    doc["params"] = {**MINIMAL["params"], **overrides.get("params", {})}
+    return doc
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(_SESSION_CASES))
+@pytest.mark.parametrize("mode", ["actual", "virtual"])
+def test_session_artifacts_match_the_generic_encoder(tmp_path, monkeypatch, mode, case, fmt):
+    config = _write(tmp_path, _session_doc(mode, case, output_format=fmt))
+    # The path is echoed in the config: a rounds key, control characters and
+    # non-ASCII text.
+    out = tmp_path / 'x "rounds": [\x01\t\u00fc\u2192\n.json'
+
+    def artifact():
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    written = artifact()
+    monkeypatch.setattr(cli, "render_report", _reference_report)
+    assert artifact() == written
+
+
+def test_session_artifact_on_stdout_matches_the_generic_encoder(tmp_path, monkeypatch, capsys):
+    config = _write(tmp_path, _session_doc("actual", "trials3", trials=1))
+    assert main(["run", "--config", config, "--out", "-"]) == 0
+    written = capsys.readouterr().out
+    assert json.loads(written)["results"]["per_trial"][0]["transcript"]["n_detected"] == 16
+    monkeypatch.setattr(cli, "render_report", _reference_report)
+    assert main(["run", "--config", config, "--out", "-"]) == 0
+    assert capsys.readouterr().out == written
+
+
+def test_rounds_marker_in_config_text_is_not_spliced(monkeypatch):
+    # The first two salts' markers are strings of the envelope, so both are
+    # skipped.
+    path, other = (cli._ROUNDS_MARKER.format(salt) for salt in range(2))
+    doc = dict(_session_doc("virtual", "eta0.8"), output_path=path)
+    envelopes = []
+    monkeypatch.setattr(cli, "emit_report", lambda envelope, *rest: envelopes.append(envelope))
+    assert run(config_from_dict(doc)) == 0
+    (envelope,) = envelopes
+    transcript = envelope["results"]["per_trial"][0]["transcript"]
+    # Two transcripts at different depths, and the marker beside them.
+    envelope = {**envelope, "more": [{"marker": other, "again": transcript}], "text": path[1:]}
+    text = render_report(envelope, [], [], "json")
+    assert text == _reference_report(envelope, [], [], "json")
+    assert json.loads(text)["config"]["output_path"] == path
+
+
+def test_render_report_still_refuses_unknown_objects():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        render_report({"x": object()}, [], [], "json")
 
 
 # -- keyrate sweep ----------------------------------------------------------------

@@ -8,9 +8,20 @@ draw order, to an exact result, or to the serialized shape of a
 ``qkd-sift/v1`` artifact shows up here.  The insecure per-basis entry point
 has no CLI mode and is hashed through the API.
 
-Regenerate the manifest (only for an intended format change) with::
+The ``scale`` cases hold a few thousand transcript rows, and the ``render``
+cases hash the same transcripts rendered by ``cli.render_report`` at several
+nesting depths, so the specialized writer of the ``rounds`` arrays is pinned
+at every indent it can meet.
+
+Record the digests of new cases with::
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+Recording only adds: it writes the digests of cases missing from the
+manifest and leaves every recorded entry as it is.  If a recorded digest
+would change, it writes nothing, names that case on stderr and exits 1.  To
+re-record a case on purpose (an intended format change), delete its entry
+from ``golden_digests.json`` first.
 """
 
 from __future__ import annotations
@@ -24,15 +35,18 @@ from pathlib import Path
 import pytest
 
 from qkd_sift.adversary import make_strategy, strategy_from_dict
-from qkd_sift.cli import main
+from qkd_sift.cli import main, render_report
 from qkd_sift.protocol import (
     CountPerBasis,
     ProtocolParams,
     derive_stream,
+    run_actual,
     run_insecure_termination,
+    run_virtual,
     sifted_to_json,
     transcript_to_json,
 )
+from qkd_sift.quantum_core import detection_povm
 
 MANIFEST = Path(__file__).with_name("golden_digests.json")
 
@@ -45,6 +59,7 @@ STRATEGIES = {
 MODES = ("actual", "virtual", "estimation", "coverage")
 
 PARAMS = {"p_z_a": 0.6, "p_z_b": 0.7, "n_det_ter": 24, "eps_s": 1e-9, "eps_c": 1e-12, "delta": 0.1}
+SCALE_PARAMS = {**PARAMS, "n_det_ter": 2000, "batch_size": 7}
 
 
 def _cases() -> dict[str, dict]:
@@ -93,10 +108,23 @@ def _cases() -> dict[str, dict]:
                 "rule": rule,
                 "bias_max_rounds": k,
             }
+    # Thousands of transcript rows: lossy, batched sessions on an imperfect
+    # detector, with the full transcript attached (trials 1).
+    for mode in ("actual", "virtual"):
+        cases[f"{mode}-scale-n2000-batch7-eta0.8"] = {
+            "mode": mode,
+            "params": SCALE_PARAMS,
+            "strategy": STRATEGIES["depolarizing"],
+            "trials": 1,
+            "seed": 13,
+            "eta_det": 0.8,
+        }
     return cases
 
 
 CASES = _cases()
+# JSON renders of the scale sessions' transcripts at several nesting depths.
+RENDER_DEPTHS = (1, 3, 8)
 
 
 def _artifact_digest(doc: dict, tmp: Path) -> str:
@@ -120,12 +148,46 @@ def _insecure_digest() -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _nested(node, depth: int):
+    # Alternate objects and arrays so both kinds of parent set the indent.
+    for level in range(depth - 1):
+        node = {"level": level, "inner": node} if level % 2 else [node]
+    return node
+
+
+def _render_digest(depth: int) -> str:
+    params = ProtocolParams(
+        **{**SCALE_PARAMS, "p_x_a": 1.0 - PARAMS["p_z_a"], "p_x_b": 1.0 - PARAMS["p_z_b"]}
+    )
+    eve = make_strategy(strategy_from_dict(STRATEGIES["depolarizing"]))
+    povm = detection_povm(0.8)
+    actual, _ = run_actual(params, eve, derive_stream(13, 0), povm=povm)
+    virtual, _, _ = run_virtual(params, eve, derive_stream(13, 1), povm=povm)
+    # The digests were recorded from transcript_to_json dicts through the
+    # generic encoder; the Transcripts themselves go through the row writer.
+    envelope = {"actual": _nested(actual, depth), "virtual": [_nested(virtual, depth)]}
+    text = render_report(envelope, [], [], "json")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _all_digests(tmp: Path) -> dict[str, str]:
+    digests = {case: _artifact_digest(CASES[case], tmp) for case in sorted(CASES)}
+    digests["insecure-count_per_basis-5-3"] = _insecure_digest()
+    for depth in RENDER_DEPTHS:
+        digests[f"render-scale-depth{depth}"] = _render_digest(depth)
+    return digests
+
+
 def _recorded() -> dict[str, str]:
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
 def test_manifest_covers_every_case():
-    assert set(_recorded()) == set(CASES) | {"insecure-count_per_basis-5-3"}
+    assert set(_recorded()) == (
+        set(CASES)
+        | {"insecure-count_per_basis-5-3"}
+        | {f"render-scale-depth{depth}" for depth in RENDER_DEPTHS}
+    )
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -137,19 +199,31 @@ def test_insecure_termination_matches_the_recorded_digest():
     assert _insecure_digest() == _recorded()["insecure-count_per_basis-5-3"]
 
 
-def _record() -> None:
+@pytest.mark.parametrize("depth", RENDER_DEPTHS)
+def test_transcript_render_matches_the_recorded_digest(depth):
+    assert _render_digest(depth) == _recorded()[f"render-scale-depth{depth}"]
+
+
+def _record() -> int:
     import tempfile
 
-    digests = {}
+    recorded = _recorded()
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
-            digests[case] = _artifact_digest(CASES[case], Path(tmp))
-    digests["insecure-count_per_basis-5-3"] = _insecure_digest()
-    MANIFEST.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {MANIFEST}")
+        digests = _all_digests(Path(tmp))
+    changed = sorted(k for k in recorded if k in digests and digests[k] != recorded[k])
+    if changed:
+        for case in changed:
+            print(f"recorded digest would change: {case}", file=sys.stderr)
+        print("nothing written; delete an entry to re-record it", file=sys.stderr)
+        return 1
+    added = sorted(set(digests) - set(recorded))
+    recorded.update((case, digests[case]) for case in added)
+    MANIFEST.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"added {len(added)} digests to {MANIFEST}: {', '.join(added) or 'none'}")
+    return 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_golden.py --record")
-    _record()
+    sys.exit(_record())

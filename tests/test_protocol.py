@@ -1,5 +1,6 @@
 """Session loops: termination, announcements, law agreement, distillation."""
 
+import json
 import random
 
 import numpy as np
@@ -44,6 +45,7 @@ from qkd_sift.protocol import (
     run_insecure_termination,
     run_virtual,
     sifted_to_json,
+    transcript_rounds_to_json,
     transcript_to_json,
 )
 from qkd_sift.quantum_core import (
@@ -643,6 +645,47 @@ def test_transcript_json_shape():
     assert np.array_equal(
         hex_to_bits(sdoc["s_az_hex"], sifted.n_z), sifted.s_az
     )
+
+
+def _writer_transcripts():
+    yield "empty", Transcript(_params())
+    yield "one-round", run_actual(_params(n=1), IDENTITY, derive_stream(2, 0))[0]
+    params = _params(n=300, p_z=0.6, batch_size=7)
+    lossy = make_strategy(Depolarizing(0.15, p_loss=0.5))
+    yield "lossy-batched", run_virtual(
+        params, lossy, derive_stream(3, 0), povm=detection_povm(0.8)
+    )[0]
+    every_code = [
+        RoundRecord(1, False, Basis.Z, None),
+        RoundRecord(2, False, Basis.X, None),
+        RoundRecord(3, True, Basis.Z, Basis.Z),
+        RoundRecord(4, True, Basis.Z, Basis.X),
+        RoundRecord(5, True, Basis.X, Basis.Z),
+        RoundRecord(6, True, Basis.X, Basis.X),
+    ]
+    # Past 9 and 99 rounds, so indices of several widths share one text.
+    yield "every-code", Transcript(_params(), rounds=[
+        rec._replace(index=i) for i, rec in enumerate(every_code * 20, 1)
+    ])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _writer_transcripts()])
+def test_rounds_writer_matches_json_dumps(name):
+    transcript = dict(_writer_transcripts())[name]
+    text = json.dumps(transcript_to_json(transcript), indent=2)
+    start = text.index('"rounds": ') + len('"rounds": ')
+    assert text[start:-2] == transcript_rounds_to_json(transcript, 1)
+    assert text.endswith("\n}")
+    rounds = transcript_to_json(transcript)["rounds"]
+    for depth in range(6):
+        nested = rounds
+        for _ in range(depth):
+            nested = [nested]
+        opened = "".join("[\n" + "  " * (k + 1) for k in range(depth))
+        closed = "".join("\n" + "  " * k + "]" for k in reversed(range(depth)))
+        assert json.dumps(nested, indent=2) == (
+            opened + transcript_rounds_to_json(transcript, depth) + closed
+        )
 
 
 def test_final_keys_json_shape():
