@@ -18,6 +18,8 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,7 +56,7 @@ from .protocol import (
     run_virtual,
     sifted_to_json,
     transcript_counts,
-    transcript_rounds_to_json,
+    transcript_rounds_parts,
     transcript_to_json,
 )
 from .quantum_core import BobPOVM, detection_povm, ideal_povm
@@ -517,6 +519,10 @@ def _sweep_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
 # The ``rounds`` value of a transcript's stand-in, formatted with a salt.
 _ROUNDS_MARKER = "\x00rounds {}"
 
+# Characters per write of an artifact: a session artifact is tens of MB, and
+# writing it whole would first encode a copy of all of it.
+_WRITE_CHUNK = 1 << 20
+
 
 def _json_text(envelope: dict) -> str:
     """``json.dumps(envelope, indent=2) + "\\n"``, a Transcript anywhere in the
@@ -546,7 +552,8 @@ def _json_text(envelope: dict) -> str:
     for transcript, piece in zip(transcripts, pieces[1:]):
         key_line = out[-1][out[-1].rfind("\n") + 1 :]
         depth = (len(key_line) - len(key_line.lstrip(" "))) // 2
-        out += [transcript_rounds_to_json(transcript, depth), piece]
+        out += transcript_rounds_parts(transcript, depth)
+        out.append(piece)
     return "".join(out)
 
 
@@ -562,6 +569,11 @@ def render_report(
     return buf.getvalue()
 
 
+def _open_untruncated(path: str, flags: int) -> int:
+    """``open``'s default opener, less ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def emit_report(
     envelope: dict, header: list[str], rows: list[list], fmt: str, path: str
 ) -> None:
@@ -570,7 +582,15 @@ def emit_report(
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        # Written over the old file, then cut to length.  Truncating it to
+        # zero on open makes ext4 (auto_da_alloc) flush the new file to disk
+        # on close and discard the old one's blocks: a disk write and a
+        # discard of every artifact, tens of MB each for a session.
+        with open(path, "w", encoding="utf-8", opener=_open_untruncated) as f:
+            for start in range(0, len(text), _WRITE_CHUNK):
+                f.write(text[start : start + _WRITE_CHUNK])
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     except OSError as exc:
         raise IoError(f"cannot write report {path!r}: {exc}") from exc
 

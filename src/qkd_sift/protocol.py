@@ -851,13 +851,23 @@ def transcript_rounds_to_json(transcript: Transcript, depth: int) -> str:
     The text is what ``json.dumps(..., indent=2)`` writes for that array when
     it sits at nesting depth ``depth`` (the value of a key whose line is
     indented by ``2 * depth`` spaces), but it is built from the columns without
-    the per-round lists.  A round's row depends only on its index and on the
-    3-bit code (detected, basis_b, basis_a), so each code has one template
-    and the rows are joined in C.
+    the per-round lists.
+    """
+    return "".join(transcript_rounds_parts(transcript, depth))
+
+
+def transcript_rounds_parts(transcript: Transcript, depth: int) -> list[str]:
+    """The text of :func:`transcript_rounds_to_json` as a list of pieces.
+
+    A caller that splices the array into a larger text joins these pieces
+    with the rest in one ``str.join``, so the array is never copied whole.
+    A round's row depends only on its index and on the 3-bit code
+    (detected, basis_b, basis_a), so each code has one template and the
+    pieces alternate between index and template.
     """
     n = len(transcript.detected)
     if n == 0:
-        return "[]"
+        return ["[]"]
     outer = "\n" + "  " * depth
     row = outer + "  "
     item = row + "  "
@@ -875,11 +885,12 @@ def transcript_rounds_to_json(transcript: Transcript, depth: int) -> str:
         | (np.frombuffer(transcript.basis_b, dtype=np.uint8) << 1)
         | np.frombuffer(transcript.basis_a, dtype=np.uint8)
     ).tolist()
-    parts: list[str] = [""] * (2 * n)
-    parts[0::2] = map(str, range(1, n + 1))
-    parts[1::2] = map(between.__getitem__, codes)
+    parts: list[str] = [""] * (2 * n + 1)
+    parts[0] = f"[{row}[{item}"
+    parts[1::2] = map(str, range(1, n + 1))
+    parts[2::2] = map(between.__getitem__, codes)
     parts[-1] = tails[codes[-1]] + outer + "]"
-    return f"[{row}[{item}" + "".join(parts)
+    return parts
 
 
 def sifted_to_json(sifted: SiftedData) -> dict:

@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -265,6 +266,30 @@ def test_session_artifact_on_stdout_matches_the_generic_encoder(tmp_path, monkey
     monkeypatch.setattr(cli, "render_report", _reference_report)
     assert main(["run", "--config", config, "--out", "-"]) == 0
     assert capsys.readouterr().out == written
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_artifacts_written_in_slices_over_a_longer_file_are_the_rendered_text(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)
+    rendered = []
+
+    def recorded(*args):
+        rendered.append(render_report(*args))
+        return rendered[-1]
+
+    monkeypatch.setattr(cli, "render_report", recorded)
+    config = _write(tmp_path, _session_doc("actual", "eta0.8", output_format=fmt))
+    out = tmp_path / "\u00fc\u2192.out"
+    out.write_text("an older, longer artifact\n" * 4000)
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    (text,) = rendered
+    assert len(text) > 7 * 5  # several slices
+    assert out.read_bytes() == text.encode("utf-8")
+
+
+def test_artifact_to_a_device_is_not_truncated(tmp_path):
+    config = _write(tmp_path, _session_doc("virtual", "lossy"))
+    assert main(["run", "--config", config, "--out", os.devnull]) == 0
 
 
 def test_rounds_marker_in_config_text_is_not_spliced(monkeypatch):
