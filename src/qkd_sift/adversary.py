@@ -15,16 +15,40 @@ adaptive tracker does with ``detected_basis_b[-window:]``, or walk
 ``prefix.rounds``, a read-only lazy view that builds a ``RoundRecord`` per
 round on access (``len``, indexing, slices, iteration, ``reversed``).
 
-Built-in strategies return module-lifetime ChannelOp instances instead of
-building fresh ones per round.  That is not just thrift: the protocol engine
-memoizes the Born/Kraus algebra per ChannelOp instance, which turns the
-per-round cost into a few scalar samples.  Custom strategies are free to
-ignore this and construct ops on the fly.
+Each built-in strategy returns, for the whole session, ops from the small
+set that :func:`make_strategy` builds once per call; it builds no op per
+round.  That is not just thrift: the protocol engine memoizes the Born/Kraus
+algebra per ChannelOp instance, which turns the per-round cost into a few
+scalar samples.  ``make_strategy`` mints new ops on every call, so a caller
+that runs one configuration many times keeps the strategy (the CLI does, in
+``cli._strategy_for``).  Custom strategies are free to construct ops on the
+fly.
+
+Built-in strategies also declare that set as ``EveStrategy.ops`` and carry a
+``schedule``, the vectorized counterpart of ``behavior``.  A schedule is
+called as ``schedule(detected, basis_b, draws)`` once per session, after the
+fact:
+
+* ``detected`` is a bool array with one entry per emitted round, up to and
+  including the last detection the session counts;
+* ``basis_b`` is Bob's basis of each of those detected rounds, as
+  ``Basis.value`` (uint8);
+* ``draws(k)`` returns the next ``k`` ``random()`` values of the adversary's
+  stream, the one ``behavior`` receives.
+
+It returns the index into ``ops`` of the op that ``behavior`` would return in
+each emitted round, and it takes from ``draws`` exactly the values, in the
+order, that ``behavior`` would take from its stream over those rounds.
+:func:`~qkd_sift.stats.coverage_trials` uses the schedule when a strategy has
+one and every op of ``ops`` has the same delivery and detection
+probabilities under the detector; the draws that decide a round then do not
+depend on the op.  Otherwise, as for every ``EveStrategy(label, behavior)``,
+each trial runs the round loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Literal, Union
 
 import numpy as np
@@ -150,53 +174,66 @@ class AdaptiveBasisTracker:
 StrategyConfig = Union[IdentityLossy, Depolarizing, InterceptResend, AdaptiveBasisTracker]
 
 Behavior = Callable[["Transcript", RandomStream], ChannelOp]
+Schedule = Callable[[np.ndarray, np.ndarray, Callable[[int], np.ndarray]], np.ndarray]
 
 
 @dataclass(frozen=True)
 class EveStrategy:
-    """A labelled behavior function; the label keys reports and CSV rows."""
+    """A labelled behavior function; the label keys reports and CSV rows.
+
+    ``ops`` and ``schedule`` are optional: the finite set of ops that
+    ``behavior`` returns, and its vectorized counterpart (see the module
+    docstring).  They are left out of equality and hashing.
+    """
 
     label: str
     behavior: Behavior
+    ops: tuple[ChannelOp, ...] = field(default=(), compare=False)
+    schedule: Schedule | None = field(default=None, compare=False)
+
+
+def _first_op(detected: np.ndarray, basis_b: np.ndarray, draws) -> np.ndarray:
+    """Schedule of a strategy that returns ``ops[0]`` every round."""
+    return np.zeros(len(detected), dtype=np.intp)
 
 
 def make_strategy(cfg: StrategyConfig) -> EveStrategy:
     """Compile a configuration into an executable strategy."""
-    if isinstance(cfg, IdentityLossy):
-        op = identity_lossy_channel(cfg.p_loss)
+    if isinstance(cfg, (IdentityLossy, Depolarizing)):
+        if isinstance(cfg, IdentityLossy):
+            op = identity_lossy_channel(cfg.p_loss)
+            label = f"identity_lossy(p_loss={cfg.p_loss:g})"
+        else:
+            op = depolarizing_channel(cfg.p, cfg.p_loss)
+            label = f"depolarizing(p={cfg.p:g},p_loss={cfg.p_loss:g})"
 
         def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:
             return op
 
-        return EveStrategy(label=f"identity_lossy(p_loss={cfg.p_loss:g})", behavior=behavior)
-
-    if isinstance(cfg, Depolarizing):
-        op = depolarizing_channel(cfg.p, cfg.p_loss)
-
-        def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:
-            return op
-
-        return EveStrategy(
-            label=f"depolarizing(p={cfg.p:g},p_loss={cfg.p_loss:g})", behavior=behavior
-        )
+        return EveStrategy(label=label, behavior=behavior, ops=(op,), schedule=_first_op)
 
     if isinstance(cfg, InterceptResend):
         dephase_z = dephasing_channel(Basis.Z)
         dephase_x = dephasing_channel(Basis.X)
-        if cfg.basis_policy == "always_z":
-            def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:
-                return dephase_z
-        elif cfg.basis_policy == "always_x":
-            def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:
-                return dephase_x
-        else:
-            q = cfg.q
+        label = f"intercept_resend({cfg.basis_policy},q={cfg.q:g})"
+        if cfg.basis_policy != "random":
+            op = dephase_z if cfg.basis_policy == "always_z" else dephase_x
 
             def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:
-                return dephase_z if rng.random() < q else dephase_x
+                return op
+
+            return EveStrategy(label=label, behavior=behavior, ops=(op,), schedule=_first_op)
+        q = cfg.q
+
+        def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:
+            return dephase_z if rng.random() < q else dephase_x
+
+        def schedule(detected: np.ndarray, basis_b: np.ndarray, draws) -> np.ndarray:
+            # One draw per emitted round: index 0 (Z) below q, else 1 (X).
+            return (draws(len(detected)) >= q).astype(np.intp)
 
         return EveStrategy(
-            label=f"intercept_resend({cfg.basis_policy},q={cfg.q:g})", behavior=behavior
+            label=label, behavior=behavior, ops=(dephase_z, dephase_x), schedule=schedule
         )
 
     if isinstance(cfg, AdaptiveBasisTracker):
@@ -220,9 +257,30 @@ def make_strategy(cfg: StrategyConfig) -> EveStrategy:
                 return identity
             return dephase[Basis.Z if f_z > 0.5 else Basis.X]
 
+        def schedule(detected: np.ndarray, basis_b: np.ndarray, draws) -> np.ndarray:
+            # The window moves only at detections, so it is computed once per
+            # k = number of detections so far, with the same float operations
+            # as ``behavior``, and then read off per emitted round.
+            z_count = np.zeros(len(basis_b) + 1, dtype=np.int64)
+            np.cumsum(basis_b == z_value, out=z_count[1:])
+            k = np.arange(len(z_count))
+            lo = np.maximum(k - window, 0)
+            seen = k - lo
+            f_z = (z_count - z_count[lo]) / np.maximum(seen, 1)
+            p_attack = gain * np.abs(2.0 * f_z - 1.0)
+            before = np.cumsum(detected) - detected
+            draw = ((seen > 0) & (p_attack > 0.0))[before]
+            u = np.ones(len(detected))
+            u[draw] = draws(int(np.count_nonzero(draw)))
+            attack = draw & (u < np.minimum(p_attack, 1.0)[before])
+            # ops: 0 identity, 1 dephase in Z, 2 dephase in X.
+            return np.where(attack, np.where(f_z > 0.5, 1, 2)[before], 0)
+
         return EveStrategy(
             label=f"adaptive_basis_tracker(window={window},bias_gain={gain:g})",
             behavior=behavior,
+            ops=(identity, dephase[Basis.Z], dephase[Basis.X]),
+            schedule=schedule,
         )
 
     raise ConfigError(f"unknown strategy configuration {cfg!r}")

@@ -29,10 +29,11 @@ sub-stream, so a (seed, trial index) pair fully determines a session.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -40,7 +41,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from . import finite_key, hashing
-from .adversary import EveStrategy
+from .adversary import EveStrategy, Schedule
 from .errors import (
     AbortKeyTooShort,
     AbortVerificationFailed,
@@ -751,6 +752,174 @@ def _session(
     if virtual:
         return transcript, sifted, retained
     return transcript, sifted
+
+
+# ---------------------------------------------------------------------------
+# Estimation counters: the round loop, or its draws replayed in NumPy
+
+# Draws per buffer refill of the replay, at most.
+_REPLAY_CHUNK = 1 << 18
+
+
+def replay_counter(
+    params: ProtocolParams, eve: EveStrategy, povm: BobPOVM | None = None
+) -> Callable[[RandomStream], tuple[int, int, float, float, int, int]] | None:
+    """A function from a session stream to the counters of its estimation run.
+
+    The counters are ``(lambda_ph, lambda_xerr, sum_p_ph, sum_p_xerr, n_z,
+    n_x)``: the two error counts, the ``math.fsum`` of the per-round p_ph and
+    p_xerr, and the numbers of Z-Z and X-X detected rounds of
+    ``run_estimation(params, eve, stream, povm)``.  The function replays the
+    session's draws in NumPy (:func:`_replay_counts`) and gives the same
+    numbers.  It exists only when ``eve`` has a ``schedule`` and every op of
+    ``eve.ops`` has the same delivery and detection probabilities under
+    ``povm``; otherwise this returns None.
+    """
+    povm = povm if povm is not None else ideal_povm()
+    laws = [_kernel_for(povm).virtual(op) for op in eve.ops] if eve.schedule else []
+    if not laws or len({(law.p_deliver, law.p_detect) for law in laws}) > 1:
+        return None
+    return functools.partial(_replay_counts, params, eve.schedule, laws)
+
+
+def _uniforms(stream: RandomStream, k: int) -> np.ndarray:
+    """The next k ``stream.random()`` values, drawn at once.
+
+    ``random()`` takes two 32-bit MT19937 words and returns
+    ``((w1 >> 5) * 2**26 + (w2 >> 6)) * 2**-53``; ``getrandbits(64 * k)``
+    takes the same 2k words and puts the first in the lowest bits.
+    """
+    words = np.frombuffer(stream.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def _replay_counts(
+    params: ProtocolParams,
+    schedule: Schedule,
+    laws: list[_VirtualLaw],
+    rng: RandomStream,
+) -> tuple[int, int, float, float, int, int]:
+    """The counters of :func:`replay_counter`, from ``rng``'s draws in NumPy.
+
+    The estimation picture draws, per emitted round: delivery; detection if
+    delivered; Bob's basis; then, if detected, Alice's basis and the X
+    readout.  The laws share their delivery and detection probabilities, so
+    which draws are which does not depend on the op; :func:`_detections`
+    finds them, and the schedule then gives the op of each detected round.
+    Rounds after the n-th detection, in-flight or not, change no counter.
+    """
+    eve_rng = _eve_stream(rng)
+    index, draws = _detections(
+        functools.partial(_uniforms, rng),
+        params.n_det_ter,
+        params.max_rounds,
+        laws[0].p_deliver,
+        laws[0].p_detect,
+    )
+    b_z = draws[:, 0] < params.p_z_b
+    a_z = draws[:, 1] < params.p_z_a
+    detected = np.zeros(index[-1] + 1, dtype=bool)
+    detected[index] = True
+    basis_b = np.where(b_z, Basis.Z.value, Basis.X.value).astype(np.uint8)
+    op = schedule(detected, basis_b, functools.partial(_uniforms, eve_rng))[index]
+    # xa != xb exactly when the readout falls between xx_cum[0] and xx_cum[2].
+    readout = draws[:, 2]
+    error = (readout >= np.array([law.xx_cum[0] for law in laws])[op]) & (
+        readout < np.array([law.xx_cum[2] for law in laws])[op]
+    )
+    zz = a_z & b_z
+    xx = ~(a_z | b_z)
+    # fsum is correctly rounded, so it equals the exact sum rounded once:
+    # per op, the count of its rounds times its probability.
+    per_op = np.bincount(op, minlength=len(laws)).tolist()
+
+    def fsum_of(q: float) -> float:
+        return float(sum(c * Fraction(q * law.t_phase) for c, law in zip(per_op, laws)))
+
+    return (
+        int(np.count_nonzero(zz & error)),
+        int(np.count_nonzero(xx & error)),
+        fsum_of(params.q_z),
+        fsum_of(params.q_x),
+        int(np.count_nonzero(zz)),
+        int(np.count_nonzero(xx)),
+    )
+
+
+def _detections(
+    random_k: Callable[[int], np.ndarray],
+    n: int,
+    max_rounds: int,
+    p_deliver: float,
+    p_detect: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the estimation draw order to the n-th detection.
+
+    ``random_k(k)`` gives the session's next k ``random()`` values.  Returns
+    the emitted-round index of each of the n detected rounds and their last
+    three draws (Bob's basis, Alice's basis, X readout) as an (n, 3) array.
+    A round takes 2 draws if not delivered, 3 if delivered but not detected
+    and 5 if detected.  Raises :class:`MaxRoundsExceeded` as :func:`_session`
+    does.  Draws come in buffers of at most :data:`_REPLAY_CHUNK`, sized from
+    the expected draws per detection; a round cut by the end of a buffer is
+    carried into the next.
+    """
+    if p_deliver == 1.0 and p_detect == 1.0:  # random() < 1.0 always: 5 draws a round
+        rows = []
+        for start in range(0, n, _REPLAY_CHUNK // 5):
+            m = min(n - start, _REPLAY_CHUNK // 5)
+            rows.append(random_k(5 * m).reshape(m, 5)[:, 2:])
+        return np.arange(n), np.concatenate(rows)
+    p_both = p_deliver * p_detect
+    per_detection = (2.0 + p_deliver + 2.0 * p_both) / p_both if p_both > 0.0 else math.inf
+    index, rows = [], []
+    tail = np.empty(0)
+    count = r = 0  # detections so far; index of the round at the head of the buffer
+    while count < n:
+        guess = 1.1 * (n - count) * per_detection + 64
+        u = np.concatenate((tail, random_k(_REPLAY_CHUNK if guess >= _REPLAY_CHUNK else int(guess))))
+        limit = len(u) - 4  # a round that starts before limit fits in the buffer
+        delivered = np.flatnonzero(u[:limit] < p_deliver)
+        m = len(delivered)
+        # upcoming[a]: index in ``delivered`` of the first q >= a with
+        # q = a (mod 2), or m + a % 2 where there is none.  Undelivered rounds
+        # take two draws, so a walk over them keeps its parity.
+        upcoming = np.full(len(u) + 1, m, dtype=np.int64)
+        upcoming[1::2] += 1
+        upcoming[delivered] = np.arange(m)
+        for parity in (0, 1):
+            upcoming[parity::2] = np.minimum.accumulate(upcoming[parity::2][::-1])[::-1]
+        hit = u[delivered + 1] < p_detect
+        successor = upcoming[delivered + np.where(hit, 5, 3)].tolist()
+        path = []  # the delivered rounds of the walk, as indices into ``delivered``
+        j = int(upcoming[0])
+        while j < m:
+            path.append(j)
+            j = successor[j]
+        at = delivered[path]
+        hits = hit[path]
+        last = np.flatnonzero(hits)[n - count - 1 : n - count]  # the n-th detection
+        if len(last):
+            at, hits = at[: last[0] + 1], hits[: last[0] + 1]
+        else:  # end with the first round that may not fit; the next buffer starts there
+            p = int(at[-1]) + (5 if hits[-1] else 3) if len(at) else 0
+            at = np.append(at, max(p, limit + ((limit - p) & 1)))
+            hits = np.append(hits, False)
+        # Before each round of ``at``: the previous one, then undelivered rounds.
+        after = np.concatenate(([0], at[:-1] + np.where(hits[:-1], 5, 3)))
+        rounds = r + np.cumsum((at - after) >> 1) + np.arange(len(at))
+        late = np.flatnonzero(rounds >= max_rounds)[:1]
+        if len(late):
+            detected = count + np.count_nonzero(hits[: late[0]])
+            raise MaxRoundsExceeded(
+                f"no termination after {max_rounds} rounds ({detected} detected)"
+            )
+        index.append(rounds[hits])
+        rows.append(u[at[hits][:, None] + np.arange(2, 5)])
+        count += int(np.count_nonzero(hits))
+        r = int(rounds[-1])
+        tail = u[at[-1] :]
+    return np.concatenate(index), np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ chosen to preserve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .protocol import (
     RandomStream,
     TerminationRule,
     derive_stream,
+    replay_counter,
     run_estimation,
 )
 
@@ -195,43 +197,48 @@ def coverage_trials(
     """Run ``trials`` estimation sessions and collect their counters.
 
     Per-trial streams are derived from a base seed drawn once from ``rng``
-    with the documented counter scheme.  Trials run in index order on the
-    calling thread; ``workers`` is accepted and ignored, since the session
-    loop is pure Python and holds the interpreter lock, so threads could not
-    run trials in parallel.
+    with the documented counter scheme, and trials run in index order on the
+    calling thread.  For a strategy with a ``schedule`` whose ops share their
+    delivery and detection probabilities under ``povm`` (every built-in
+    strategy), each trial's session is replayed from its own MT19937 streams
+    in NumPy, without a transcript or a ``behavior`` call; other strategies
+    run the round loop of :func:`run_estimation`.  The numbers are the same
+    either way (see :func:`~qkd_sift.protocol.replay_counter`), and a
+    trial that exceeds ``max_rounds`` raises the same
+    :class:`MaxRoundsExceeded`.  ``workers`` is accepted and ignored.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     base_seed = rng.getrandbits(64)
-    lam_ph = np.zeros(trials, dtype=np.int64)
-    lam_xerr = np.zeros(trials, dtype=np.int64)
-    sum_ph = np.zeros(trials, dtype=np.float64)
-    sum_xerr = np.zeros(trials, dtype=np.float64)
-    n_z = np.zeros(trials, dtype=np.int64)
-    n_x = np.zeros(trials, dtype=np.int64)
-
-    # One trial per call, so each run is freed before the next one starts.
-    def one(i: int) -> None:
-        run = run_estimation(params, strategy, derive_stream(base_seed, i), povm=povm)
-        lam_ph[i] = run.lambda_ph
-        lam_xerr[i] = run.lambda_xerr
-        sum_ph[i] = math.fsum(r.p_ph for r in run.per_round)
-        sum_xerr[i] = math.fsum(r.p_xerr for r in run.per_round)
-        n_z[i] = len(run.s_az_vir)
-        n_x[i] = sum(
-            1 for r in run.per_round if r.bases[0] is Basis.X and r.bases[1] is Basis.X
-        )
-
-    for i in range(trials):
-        one(i)
+    count = replay_counter(params, strategy, povm) or functools.partial(
+        _estimation_counts, params, strategy, povm
+    )
+    lam_ph, lam_xerr, sum_ph, sum_xerr, n_z, n_x = zip(
+        *(count(derive_stream(base_seed, i)) for i in range(trials))
+    )
     return TrialStats(
         n=params.n_det_ter,
-        lambda_ph=lam_ph,
-        lambda_xerr=lam_xerr,
-        sum_p_ph=sum_ph,
-        sum_p_xerr=sum_xerr,
-        n_z=n_z,
-        n_x=n_x,
+        lambda_ph=np.array(lam_ph, dtype=np.int64),
+        lambda_xerr=np.array(lam_xerr, dtype=np.int64),
+        sum_p_ph=np.array(sum_ph, dtype=np.float64),
+        sum_p_xerr=np.array(sum_xerr, dtype=np.float64),
+        n_z=np.array(n_z, dtype=np.int64),
+        n_x=np.array(n_x, dtype=np.int64),
+    )
+
+
+def _estimation_counts(
+    params: ProtocolParams, strategy: EveStrategy, povm: BobPOVM | None, rng: RandomStream
+) -> tuple[int, int, float, float, int, int]:
+    """The counters of :func:`~qkd_sift.protocol.replay_counter`, from the round loop."""
+    run = run_estimation(params, strategy, rng, povm=povm)
+    return (
+        run.lambda_ph,
+        run.lambda_xerr,
+        math.fsum(r.p_ph for r in run.per_round),
+        math.fsum(r.p_xerr for r in run.per_round),
+        len(run.s_az_vir),
+        sum(1 for r in run.per_round if r.bases[0] is Basis.X and r.bases[1] is Basis.X),
     )
 
 

@@ -2,7 +2,10 @@
 
 Everything here is written directly from the defining formulas, using
 arbitrary precision (mpmath), exact rationals, or naive brute force.  None of
-it imports the package under test, so agreement is meaningful.
+it imports the package under test, so agreement is meaningful.  The one
+exception is :func:`coverage_trials_reference`, the trial loop over the
+package's own round loop, which the NumPy replay of coverage trials must
+match number for number.
 """
 
 from __future__ import annotations
@@ -331,3 +334,52 @@ def render_report_reference(envelope, header, rows, fmt, default=None):
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Coverage trials, one round loop per trial
+
+
+def coverage_trials_reference(params, strategy, trials, rng, workers=1, povm=None):
+    """``stats.coverage_trials`` as it was before trials were replayed in NumPy.
+
+    Every trial runs ``run_estimation`` and its counters are read off the
+    per-round records.
+    """
+    from qkd_sift.errors import DomainError
+    from qkd_sift.protocol import Basis, derive_stream, run_estimation
+    from qkd_sift.stats import TrialStats
+
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    base_seed = rng.getrandbits(64)
+    lam_ph = np.zeros(trials, dtype=np.int64)
+    lam_xerr = np.zeros(trials, dtype=np.int64)
+    sum_ph = np.zeros(trials, dtype=np.float64)
+    sum_xerr = np.zeros(trials, dtype=np.float64)
+    n_z = np.zeros(trials, dtype=np.int64)
+    n_x = np.zeros(trials, dtype=np.int64)
+
+    # One trial per call, so each run is freed before the next one starts.
+    def one(i: int) -> None:
+        run = run_estimation(params, strategy, derive_stream(base_seed, i), povm=povm)
+        lam_ph[i] = run.lambda_ph
+        lam_xerr[i] = run.lambda_xerr
+        sum_ph[i] = math.fsum(r.p_ph for r in run.per_round)
+        sum_xerr[i] = math.fsum(r.p_xerr for r in run.per_round)
+        n_z[i] = len(run.s_az_vir)
+        n_x[i] = sum(
+            1 for r in run.per_round if r.bases[0] is Basis.X and r.bases[1] is Basis.X
+        )
+
+    for i in range(trials):
+        one(i)
+    return TrialStats(
+        n=params.n_det_ter,
+        lambda_ph=lam_ph,
+        lambda_xerr=lam_xerr,
+        sum_p_ph=sum_ph,
+        sum_p_xerr=sum_xerr,
+        n_z=n_z,
+        n_x=n_x,
+    )

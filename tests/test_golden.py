@@ -119,6 +119,25 @@ def _cases() -> dict[str, dict]:
             "seed": 13,
             "eta_det": 0.8,
         }
+    # Coverage trials of many long sessions.  At delta 0 a trial counts as a
+    # violation whenever its error count reaches its summed probability, so
+    # about half the trials flip on any change to a count or a sum.
+    coverage = {
+        "depolarizing-loss0.9": ({"kind": "depolarizing", "p": 0.15, "p_loss": 0.9}, {}, 1.0),
+        "tracker-w16": ({"kind": "adaptive_basis_tracker", "window": 16}, {}, 1.0),
+        "intercept_resend-batch7-eta0.8": (
+            STRATEGIES["intercept_resend"], {"batch_size": 7}, 0.8
+        ),
+    }
+    for name, (strategy, extra, eta_det) in coverage.items():
+        cases[f"coverage-scale-n2000-t32-{name}"] = {
+            "mode": "coverage",
+            "params": {**PARAMS, "n_det_ter": 2000, "delta": 0.0, **extra},
+            "strategy": strategy,
+            "trials": 32,
+            "seed": 17,
+            "eta_det": eta_det,
+        }
     return cases
 
 

@@ -12,8 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkd_sift.adversary import AdaptiveBasisTracker, Depolarizing, IdentityLossy, make_strategy
-from qkd_sift.errors import DomainError, EnumerationTooLarge, TraceInconsistent
+from qkd_sift import protocol
+from qkd_sift.adversary import (
+    AdaptiveBasisTracker,
+    Depolarizing,
+    EveStrategy,
+    IdentityLossy,
+    InterceptResend,
+    make_strategy,
+)
+from qkd_sift.errors import DomainError, EnumerationTooLarge, MaxRoundsExceeded, TraceInconsistent
 from qkd_sift.protocol import (
     Basis,
     CountDetected,
@@ -21,8 +29,10 @@ from qkd_sift.protocol import (
     PerRound,
     ProtocolParams,
     derive_stream,
+    replay_counter,
     run_estimation,
 )
+from qkd_sift.quantum_core import detection_povm
 from qkd_sift.stats import (
     TrialStats,
     azuma_coverage,
@@ -173,6 +183,111 @@ def test_coverage_trials_worker_count_does_not_change_results():
     assert np.array_equal(a.lambda_ph, b.lambda_ph)
     assert np.array_equal(a.sum_p_ph, b.sum_p_ph)
     assert np.array_equal(a.n_x, b.n_x)
+
+
+# -- coverage trials replayed in NumPy against the round loop -----------------------
+
+_ORACLE_STRATEGIES = {
+    "identity_lossy-0": IdentityLossy(0.0),
+    "identity_lossy-0.9": IdentityLossy(0.9),
+    "depolarizing-0": Depolarizing(0.15),
+    "depolarizing-0.9": Depolarizing(0.15, p_loss=0.9),
+    "intercept_resend-random": InterceptResend("random", q=0.4),
+    "intercept_resend-always_z": InterceptResend("always_z"),
+    "intercept_resend-always_x": InterceptResend("always_x"),
+    **{
+        f"tracker-w{window}-g{gain:g}": AdaptiveBasisTracker(window, gain)
+        for window in (1, 16)
+        for gain in (0.0, 0.5, 1.5)
+    },
+}
+
+
+def _assert_same_stats(got: TrialStats, want: TrialStats, where) -> None:
+    assert got.n == want.n, where
+    for f in dataclasses.fields(TrialStats):
+        if f.name != "n":
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (where, f.name)
+
+
+@pytest.mark.parametrize("eta_det", [1.0, 0.8])
+@pytest.mark.parametrize("name", sorted(_ORACLE_STRATEGIES))
+def test_coverage_trials_replay_matches_the_round_loop(name, eta_det):
+    strategy = make_strategy(_ORACLE_STRATEGIES[name])
+    povm = detection_povm(eta_det)
+    assert replay_counter(_params(), strategy, povm) is not None
+    for batch, (p_z_a, p_z_b) in itertools.product((1, 3, 7), ((0.5, 0.5), (0.7, 0.6))):
+        params = _params(
+            n=150, p_z_a=p_z_a, p_x_a=1.0 - p_z_a, p_z_b=p_z_b, p_x_b=1.0 - p_z_b,
+            batch_size=batch,
+        )
+        got = coverage_trials(params, strategy, 6, random.Random(41), povm=povm)
+        want = oracles.coverage_trials_reference(params, strategy, 6, random.Random(41), povm=povm)
+        _assert_same_stats(got, want, (batch, p_z_a, p_z_b))
+
+
+@pytest.mark.parametrize("eta_det", [1.0, 0.8])
+@pytest.mark.parametrize(
+    "cfg", [IdentityLossy(0.99), IdentityLossy(0.0), AdaptiveBasisTracker(3, 1.5)], ids=repr
+)
+def test_coverage_trials_replay_across_buffer_refills(cfg, eta_det, monkeypatch):
+    # Buffers of 64 draws: every session spans many refills, with rounds cut
+    # at the end of a buffer and carried into the next.
+    monkeypatch.setattr(protocol, "_REPLAY_CHUNK", 64)
+    strategy = make_strategy(cfg)
+    povm = detection_povm(eta_det)
+    params = _params(n=40, batch_size=3)
+    got = coverage_trials(params, strategy, 4, random.Random(42), povm=povm)
+    want = oracles.coverage_trials_reference(params, strategy, 4, random.Random(42), povm=povm)
+    _assert_same_stats(got, want, cfg)
+
+
+def test_strategy_without_a_schedule_gives_the_same_numbers():
+    for cfg in (Depolarizing(0.15, p_loss=0.9), AdaptiveBasisTracker(16), InterceptResend()):
+        strategy = make_strategy(cfg)
+        plain = EveStrategy(label=strategy.label, behavior=strategy.behavior)
+        params = _params(n=120)
+        assert replay_counter(params, plain) is None
+        got = coverage_trials(params, strategy, 5, random.Random(43))
+        want = coverage_trials(params, plain, 5, random.Random(43))
+        _assert_same_stats(got, want, cfg)
+
+
+def test_ops_with_different_detection_take_the_round_loop():
+    # Two ops that lose different fractions: which draws decide a round then
+    # depends on the op, so the strategy runs the round loop.
+    lossy = make_strategy(IdentityLossy(0.5))
+    clear = make_strategy(IdentityLossy(0.0))
+    mixed = EveStrategy(
+        "mixed", lossy.behavior, ops=lossy.ops + clear.ops, schedule=lossy.schedule
+    )
+    params = _params(n=60)
+    assert replay_counter(params, mixed) is None
+    got = coverage_trials(params, mixed, 4, random.Random(44))
+    _assert_same_stats(got, coverage_trials(params, lossy, 4, random.Random(44)), "mixed")
+
+
+def _raised(run):
+    with pytest.raises(MaxRoundsExceeded) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+def test_coverage_trials_replay_raises_max_rounds_as_the_round_loop():
+    lost = make_strategy(IdentityLossy(1.0))
+    params = _params(n=5)
+    got = _raised(lambda: coverage_trials(params, lost, 3, random.Random(45)))
+    want = _raised(lambda: oracles.coverage_trials_reference(params, lost, 3, random.Random(45)))
+    assert got == want == (MaxRoundsExceeded, "no termination after 5000 rounds (0 detected)")
+
+    # Trials 0-3 of seed 10 detect both rounds; trial 4 is the first to fail.
+    lossy = make_strategy(IdentityLossy(0.3))
+    params = _params(n=2, max_rounds=2, batch_size=3)
+    oracles.coverage_trials_reference(params, lossy, 4, random.Random(10))
+    got = _raised(lambda: coverage_trials(params, lossy, 12, random.Random(10)))
+    want = _raised(lambda: oracles.coverage_trials_reference(params, lossy, 12, random.Random(10)))
+    assert got == want
 
 
 def test_azuma_coverage_smoke():
