@@ -44,7 +44,6 @@ from .errors import (
     ValidationError,
 )
 from .protocol import (
-    Basis,
     CountDetected,
     CountPerBasis,
     ProtocolParams,
@@ -346,20 +345,16 @@ def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
 
     def one(i: int) -> dict:
         run = run_estimation(cfg.params, eve, derive_stream(cfg.seed, i), povm=povm)
-        n_x = sum(
-            1
-            for r in run.per_round
-            if r.bases[0] is Basis.X and r.bases[1] is Basis.X
-        )
+        lam_ph, lam_xerr, sum_ph, sum_xerr, n_z, n_x = stats.estimation_counts(run)
         return {
             "trial": i,
             "n_detected": len(run.per_round),
-            "n_z": int(len(run.s_az_vir)),
-            "n_x": int(n_x),
-            "lambda_ph": run.lambda_ph,
-            "lambda_xerr": run.lambda_xerr,
-            "sum_p_ph": math.fsum(r.p_ph for r in run.per_round),
-            "sum_p_xerr": math.fsum(r.p_xerr for r in run.per_round),
+            "n_z": n_z,
+            "n_x": n_x,
+            "lambda_ph": lam_ph,
+            "lambda_xerr": lam_xerr,
+            "sum_p_ph": sum_ph,
+            "sum_p_xerr": sum_xerr,
             "relation_residual": stats.relation_check(run),
         }
 

@@ -2,10 +2,12 @@
 
 Everything here is written directly from the defining formulas, using
 arbitrary precision (mpmath), exact rationals, or naive brute force.  None of
-it imports the package under test, so agreement is meaningful.  The one
-exception is :func:`coverage_trials_reference`, the trial loop over the
-package's own round loop, which the NumPy replay of coverage trials must
-match number for number.
+it imports the package under test, so agreement is meaningful.  There are
+two exceptions, each a former body of a package function that its NumPy
+replacement must match number for number:
+:func:`coverage_trials_reference`, the trial loop over the package's own
+round loop, and :func:`enumerate_bias_dfs_reference`, the depth-first walk
+behind the exact stopping-rule bias.
 """
 
 from __future__ import annotations
@@ -382,4 +384,124 @@ def coverage_trials_reference(params, strategy, trials, rng, workers=1, povm=Non
         sum_p_xerr=sum_xerr,
         n_z=n_z,
         n_x=n_x,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Exact stopping-rule bias, one depth-first walk over the sequences
+
+
+def enumerate_bias_dfs_reference(rule, p_bases, max_rounds):
+    """``stats.enumerate_bias`` as it was before the walk ran level by level.
+
+    A depth-first walk over the letter sequences, popped in the order
+    M < X < Z, tallies each composition's terminating arrangements and their
+    adjacencies; the same Fraction loop then runs once per composition.  It is
+    fast enough to check the package at the benchmark's k = 10 to 12, where
+    :func:`enumerate_bias_reference` is not.
+    """
+    from qkd_sift.errors import DomainError, EnumerationTooLarge
+    from qkd_sift.protocol import CountDetected, CountPerBasis
+    from qkd_sift.stats import _ENUM_MAX_ROUNDS, BiasReport
+
+    if max_rounds < 1:
+        raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
+    if max_rounds > _ENUM_MAX_ROUNDS:
+        raise EnumerationTooLarge(
+            f"exact enumeration supports at most {_ENUM_MAX_ROUNDS} rounds, "
+            f"got {max_rounds}"
+        )
+    if isinstance(rule, CountDetected):
+        if rule.n > max_rounds:
+            raise DomainError(
+                f"CountDetected({rule.n}) cannot terminate within {max_rounds} rounds"
+            )
+    elif not isinstance(rule, CountPerBasis):
+        raise DomainError(f"unsupported termination rule {rule!r}")
+
+    p_z_a, p_z_b = (Fraction(p) for p in p_bases)
+    for p in (p_z_a, p_z_b):
+        if not 0 <= p <= 1:
+            raise DomainError(f"basis probability {float(p)} outside [0, 1]")
+    q_z = p_z_a * p_z_b
+    q_x = (1 - p_z_a) * (1 - p_z_b)
+    q_m = 1 - q_z - q_x
+    # Both rules read "stop once n >= n_req, c_z >= z_req and c_x >= x_req".
+    if isinstance(rule, CountDetected):
+        n_req, z_req, x_req = rule.n, 0, 0
+    else:
+        n_req, z_req, x_req = 1, rule.n_z_req, rule.n_x_req
+
+    # Depth-first over letters with nonzero probability, popped in the order
+    # M < X < Z.  No leaf is a prefix of another, so the leaves come out
+    # sorted.  Stack entries: (sequence, #Z, #X, #X->X, #X->Z adjacencies).
+    leaves: list[tuple[str, tuple[int, int, int]]] = []
+    # Per composition: [terminating arrangements, their X->X, their X->Z].
+    tally: dict[tuple[int, int, int], list[int]] = {}
+    stack = [("", 0, 0, 0, 0)]
+    push = stack.append
+    while stack:
+        seq, c_z, c_x, xx, xz = stack.pop()
+        n = len(seq)
+        if n >= n_req and c_z >= z_req and c_x >= x_req:
+            key = (n, c_z, c_x)
+            counts = tally.get(key)
+            if counts is None:
+                tally[key] = [1, xx, xz]
+            else:
+                counts[0] += 1
+                counts[1] += xx
+                counts[2] += xz
+            leaves.append((seq, key))
+            continue
+        if n == max_rounds:
+            continue  # truncated: non-terminating mass
+        after_x = seq[-1:] == "X"
+        if q_z:
+            push((seq + "Z", c_z + 1, c_x, xx, xz + after_x))
+        if q_x:
+            push((seq + "X", c_z, c_x + 1, xx + after_x, xz))
+        if q_m:
+            push((seq + "M", c_z, c_x, xx, xz))
+
+    # Deterministic prefix-correlated error pattern: an error occurs at round
+    # i exactly when round i-1 was a test round, so test errors are X->X
+    # adjacencies and code errors X->Z ones.  Under an exchangeable rule the
+    # error rates on test and code positions coincide; a rule whose stopping
+    # time reads the announcements drives them apart.  Each rate is a ratio
+    # of two masses, so their common 1/total factor is left out.
+    prob: dict[tuple[int, int, int], Fraction] = {}
+    total = tv = err_test = err_code = mass_test = mass_code = Fraction(0)
+    for key, (n_term, xx, xz) in tally.items():
+        n, c_z, c_x = key
+        c_m = n - c_z - c_x
+        p = prob[key] = q_z**c_z * q_x**c_x * q_m**c_m
+        mass = p * n_term
+        total += mass
+        # Within a composition the conditional law is uniform over the
+        # *terminating* arrangements; TV against uniform-over-all-arrangements
+        # is 1 - |S| / M.
+        arrangements = math.factorial(n) // (
+            math.factorial(c_z) * math.factorial(c_x) * math.factorial(c_m)
+        )
+        tv += mass * (1 - Fraction(n_term, arrangements))
+        err_test += p * xx
+        err_code += p * xz
+        mass_test += mass * c_x
+        mass_code += mass * c_z
+    if total == 0:
+        raise DomainError("no sequence terminates within max_rounds")
+    rate_test = err_test / mass_test if mass_test else Fraction(0)
+    rate_code = err_code / mass_code if mass_code else Fraction(0)
+
+    value = {key: float(p / total) for key, p in prob.items()}
+    return BiasReport(
+        rule=rule,
+        n_rounds_enumerated=max_rounds,
+        t_distribution={seq: value[key] for seq, key in leaves},
+        tv_from_uniform=float(tv / total),
+        dependence_detected=rate_test != rate_code,
+        terminating_mass=float(total),
+        test_error_rate=float(rate_test),
+        code_error_rate=float(rate_code),
     )

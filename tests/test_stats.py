@@ -421,6 +421,8 @@ def test_enumeration_matches_brute_force(rule, p_bases):
 
 
 def _enumeration_cases(family):
+    # Both families include k = 1; CountDetected(n) at k > n leaves nothing
+    # live after level n.
     if family == "count_detected":
         for k in range(1, 9):
             for n in range(1, k + 1):
@@ -433,15 +435,16 @@ def _enumeration_cases(family):
 
 @pytest.mark.parametrize("family", ["count_detected", "count_per_basis"])
 @pytest.mark.parametrize(
-    "p_bases", [(0.5, 0.5), (0.7, 0.6), (0.8, 0.65), (1.0, 1.0), (1.0, 0.3)]
+    "p_bases",
+    [(0.5, 0.5), (0.7, 0.6), (0.8, 0.65), (1.0, 1.0), (1.0, 0.3), (0.0, 0.0)],
 )
 def test_enumeration_equals_the_sequence_walk_exactly(family, p_bases):
     """Every report field equals the per-sequence Fraction walk, bit for bit."""
     for rule, plain_rule, k in _enumeration_cases(family):
         try:
             want = oracles.enumerate_bias_reference(plain_rule, p_bases, k)
-        except ValueError:
-            with pytest.raises(DomainError):
+        except ValueError as exc:
+            with pytest.raises(DomainError, match=str(exc)):
                 enumerate_bias(rule, p_bases, k)
             continue
         rep = enumerate_bias(rule, p_bases, k)
@@ -452,6 +455,23 @@ def test_enumeration_equals_the_sequence_walk_exactly(family, p_bases):
                 assert list(got.items()) == list(value.items()), (rule, k)
             else:
                 assert got == value, (rule, k, field)
+
+
+@pytest.mark.parametrize(
+    "rule,p_bases,k",
+    [
+        (CountPerBasis(2, 2), (0.5, 0.5), 11),
+        (CountDetected(10), (0.5, 0.5), 10),
+        (CountPerBasis(3, 1), (0.7, 0.6), 12),
+        (CountDetected(12), (0.5, 0.5), 12),
+    ],
+)
+def test_enumeration_equals_the_depth_first_walk_at_benchmark_scale(rule, p_bases, k):
+    """Every field and the key order of t_distribution, at k = 10 to 12."""
+    want = oracles.enumerate_bias_dfs_reference(rule, p_bases, k)
+    rep = enumerate_bias(rule, p_bases, k)
+    assert rep == want
+    assert list(rep.t_distribution.items()) == list(want.t_distribution.items())
 
 
 @settings(max_examples=25)
