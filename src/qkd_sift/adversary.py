@@ -39,11 +39,13 @@ fact:
 It returns the index into ``ops`` of the op that ``behavior`` would return in
 each emitted round, and it takes from ``draws`` exactly the values, in the
 order, that ``behavior`` would take from its stream over those rounds.
-:func:`~qkd_sift.stats.coverage_trials` uses the schedule when a strategy has
-one and every op of ``ops`` has the same delivery and detection
-probabilities under the detector; the draws that decide a round then do not
-depend on the op.  Otherwise, as for every ``EveStrategy(label, behavior)``,
-each trial runs the round loop.
+The session engine uses the schedule to replay sessions in NumPy: the
+estimation runs of :func:`~qkd_sift.stats.coverage_trials`, and long
+sessions of :func:`~qkd_sift.protocol.run_actual` and
+:func:`~qkd_sift.protocol.run_virtual`.  It does so when every op of ``ops``
+has the same delivery and detection probabilities under the detector, so
+that the draws that decide a round do not depend on the op.  Otherwise, as
+for every ``EveStrategy(label, behavior)``, sessions run the round loop.
 """
 
 from __future__ import annotations

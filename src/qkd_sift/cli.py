@@ -23,6 +23,7 @@ import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from collections.abc import Iterable, Sequence
 from typing import Any, Callable
 
 from . import finite_key, stats
@@ -283,16 +284,6 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(doc)
 
 
-def emit_config(cfg: RunConfig, path: str) -> None:
-    """Write a config back out in the schema load_config reads."""
-    try:
-        Path(path).write_text(
-            json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise IoError(f"cannot write config {path!r}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Mode runners
 
@@ -399,7 +390,7 @@ def _coverage_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
     return results, header, rows
 
 
-def _bias_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
+def _bias_mode(cfg: RunConfig) -> tuple[dict, list[str], Iterable[Sequence]]:
     assert cfg.rule is not None
     report = stats.enumerate_bias(
         cfg.rule, (cfg.params.p_z_a, cfg.params.p_z_b), cfg.bias_max_rounds
@@ -414,9 +405,8 @@ def _bias_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
         "code_error_rate": report.code_error_rate,
         "t_distribution": report.t_distribution,
     }
-    header = ["sequence", "probability"]
-    rows = [[seq, prob] for seq, prob in report.t_distribution.items()]
-    return results, header, rows
+    # Rows are read only for CSV output, straight from the distribution.
+    return results, ["sequence", "probability"], report.t_distribution.items()
 
 
 def _sweep_error_rate(strategy: StrategyConfig) -> float:
@@ -553,7 +543,7 @@ def _json_text(envelope: dict) -> str:
 
 
 def render_report(
-    envelope: dict, header: list[str], rows: list[list], fmt: str
+    envelope: dict, header: list[str], rows: Iterable[Sequence], fmt: str
 ) -> str:
     if fmt == "json":
         return _json_text(envelope)
@@ -570,7 +560,7 @@ def _open_untruncated(path: str, flags: int) -> int:
 
 
 def emit_report(
-    envelope: dict, header: list[str], rows: list[list], fmt: str, path: str
+    envelope: dict, header: list[str], rows: Iterable[Sequence], fmt: str, path: str
 ) -> None:
     text = render_report(envelope, header, rows, fmt)
     if path == "-":

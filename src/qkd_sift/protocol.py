@@ -1,6 +1,6 @@
 """Protocol sessions: iterative sifting until enough rounds are detected.
 
-Three executable pictures run on one round loop, :func:`_session`:
+Three executable pictures share one round loop, :func:`_session`:
 
 * :func:`run_actual`   — prepare-and-measure.  Alice sends a random source
   state; Bob applies his three-outcome measurement; both announce.  Runs on
@@ -25,6 +25,17 @@ Adaptive adversaries see, for round i, the transcript of rounds 1..i-1 only.
 Per-round determinism: every sample comes from the session stream in a fixed
 order (channel branch, bases, outcome), and the adversary draws from its own
 sub-stream, so a (seed, trial index) pair fully determines a session.
+
+The loop has a NumPy counterpart for built-in strategies, those with a
+``schedule``.  The stopping rule counts detections whatever their bases, so
+when every op of the strategy sends the draws the same way, a session is
+set by its draws alone: :func:`_walk` follows them through the stream's
+MT19937 words, and the schedule then gives each round's op.  ``run_actual``
+and ``run_virtual`` replay sessions of at least
+``_REPLAY_MIN_DETECTIONS`` detections this way, and :func:`replay_counter`
+gives the estimation counters of coverage trials.  A replay returns what
+the loop returns and leaves the stream where the loop leaves it.  Custom
+strategies, the per-basis quota rule and short sessions run the loop.
 """
 
 from __future__ import annotations
@@ -496,8 +507,7 @@ def run_actual(
     povm: BobPOVM | None = None,
 ) -> tuple[Transcript, SiftedData]:
     """Prepare-and-measure session; stops at exactly n_det_ter detections."""
-    povm = povm if povm is not None else ideal_povm()
-    return _session(params, eve, rng, povm, CountDetected(params.n_det_ter), _ACTUAL)
+    return _counted_session(params, eve, rng, povm, _ACTUAL)
 
 
 def run_insecure_termination(
@@ -530,8 +540,28 @@ def run_virtual(
     pairs *after* the loop, and the retained conditional states of the
     Z-agreed rounds in detection order.
     """
+    return _counted_session(params, eve, rng, povm, _VIRTUAL)
+
+
+def _counted_session(
+    params: ProtocolParams,
+    eve: EveStrategy,
+    rng: RandomStream,
+    povm: BobPOVM | None,
+    picture: str,
+) -> tuple:
+    """A session that stops at n_det_ter detections, replayed when that pays.
+
+    Sessions of at least :data:`_REPLAY_MIN_DETECTIONS` detections that
+    :func:`_replayer` can replay are replayed; the rest run the round loop.
+    """
     povm = povm if povm is not None else ideal_povm()
-    return _session(params, eve, rng, povm, CountDetected(params.n_det_ter), _VIRTUAL)
+    replay = None
+    if params.n_det_ter >= _REPLAY_MIN_DETECTIONS:
+        replay = _replayer(params, eve, povm, picture)
+    if replay is not None:
+        return replay(rng)
+    return _session(params, eve, rng, povm, CountDetected(params.n_det_ter), picture)
 
 
 def run_estimation(
@@ -755,10 +785,26 @@ def _session(
 
 
 # ---------------------------------------------------------------------------
-# Estimation counters: the round loop, or its draws replayed in NumPy
+# Replays: a session's draws walked in NumPy instead of the round loop
 
-# Draws per buffer refill of the replay, at most.
-_REPLAY_CHUNK = 1 << 18
+# Draws per buffer refill of a replay, at most.
+_REPLAY_CHUNK = 1 << 16
+# run_actual and run_virtual replay sessions of at least this many detections.
+# A replay has a fixed cost of 0.1-0.3 ms that the loop does not have; from
+# 512 detections on the replay was faster for every built-in law measured.
+_REPLAY_MIN_DETECTIONS = 512
+
+# How each picture lays its rounds out in its draws, as (span, skip, strides):
+# a round takes ``skip`` units if not delivered and ``strides[hit]`` if
+# delivered, and never more than ``span``.  The actual picture counts MT19937
+# words (basis 2, bit 1, delivery 2, Bob's basis 2, readout 2); the others
+# count ``random()`` values (delivery, detection, Bob's basis, then Alice's
+# basis and, in estimation, the X readout).
+_LAYOUTS = {
+    _ACTUAL: (9, 7, (9, 9)),
+    _VIRTUAL: (4, 2, (3, 4)),
+    _ESTIMATION: (5, 2, (3, 5)),
+}
 
 
 def replay_counter(
@@ -771,59 +817,173 @@ def replay_counter(
     p_xerr, and the numbers of Z-Z and X-X detected rounds of
     ``run_estimation(params, eve, stream, povm)``.  The function replays the
     session's draws in NumPy (:func:`_replay_counts`) and gives the same
-    numbers.  It exists only when ``eve`` has a ``schedule`` and every op of
-    ``eve.ops`` has the same delivery and detection probabilities under
-    ``povm``; otherwise this returns None.
+    numbers.  It exists only when :func:`_replayer` allows a replay;
+    otherwise this returns None.
     """
-    povm = povm if povm is not None else ideal_povm()
-    laws = [_kernel_for(povm).virtual(op) for op in eve.ops] if eve.schedule else []
-    if not laws or len({(law.p_deliver, law.p_detect) for law in laws}) > 1:
+    return _replayer(params, eve, povm if povm is not None else ideal_povm(), _ESTIMATION)
+
+
+def _replayer(
+    params: ProtocolParams, eve: EveStrategy, povm: BobPOVM, picture: str
+) -> Callable[[RandomStream], tuple] | None:
+    """The replay of ``picture``'s sessions as a function of the stream, or None.
+
+    A replay needs ``eve.schedule``, and laws of all of ``eve.ops`` under
+    which the draws that decide a round do not depend on the op: in the
+    actual picture the same ``p_deliver[bit][basis]`` and probability that
+    Bob detects, for every bit and pair of bases; otherwise the same
+    ``(p_deliver, p_detect)``.  A round must also detect with positive
+    probability, so all-loss laws run the loop.  Nothing is drawn here.
+    """
+    if not eve.schedule or not eve.ops:
         return None
-    return functools.partial(_replay_counts, params, eve.schedule, laws)
+    kernel = _kernel_for(povm)
+    if picture is _ACTUAL:
+        laws = [kernel.actual(op) for op in eve.ops]
+        shared = {(law.p_deliver, _detection(law)) for law in laws}
+        law = laws[0]
+        a_probs = (params.p_z_a, params.p_x_a)
+        b_probs = (params.p_z_b, params.p_x_b)
+        p_deliver = sum(
+            p_a * 0.5 * law.p_deliver[bit][a]
+            for a, p_a in enumerate(a_probs)
+            for bit in (0, 1)
+        )
+        p_hit = sum(
+            p_a * 0.5 * law.p_deliver[bit][a] * p_b * max(law.outcome_cum[bit][a][b])
+            for a, p_a in enumerate(a_probs)
+            for bit in (0, 1)
+            for b, p_b in enumerate(b_probs)
+        )
+    else:
+        laws = [kernel.virtual(op) for op in eve.ops]
+        shared = {(law.p_deliver, law.p_detect) for law in laws}
+        p_deliver = laws[0].p_deliver
+        p_hit = p_deliver * laws[0].p_detect
+    if len(shared) != 1 or not p_hit > 0.0:
+        return None
+    _, skip, strides = _LAYOUTS[picture]
+    per_round = skip + p_deliver * (strides[0] - skip) + p_hit * (strides[1] - strides[0])
+    # Units to draw per detection to come: the expected number, with a 10%
+    # margin unless every round is a detection.
+    per_detection = per_round / p_hit * (1.0 if p_hit >= 1.0 else 1.1)
+    replay = _replay_counts if picture is _ESTIMATION else _replay_session
+    return functools.partial(replay, params, eve.schedule, laws, picture, per_detection)
+
+
+def _outcome_cums(law: _ActualLaw) -> list[tuple[float, float]]:
+    """``law.outcome_cum`` by 4 * bit + 2 * Alice's basis + Bob's basis.
+
+    A basis counts 0 for Z and 1 for X.
+    """
+    return [cum for per_bit in law.outcome_cum for per_a in per_bit for cum in per_a]
+
+
+def _detection(law: _ActualLaw) -> tuple[float, ...]:
+    """The readouts below which Bob detects, as :func:`_outcome_cums` orders them."""
+    return tuple(max(cum) for cum in _outcome_cums(law))
+
+
+def _to_random(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The ``random()`` values built from MT19937 words ``hi`` then ``lo``.
+
+    ``random()`` takes two 32-bit words and returns
+    ``((w1 >> 5) * 2**26 + (w2 >> 6)) * 2**-53``.
+    """
+    return ((hi >> 5) * 67108864.0 + (lo >> 6)) * (1.0 / 9007199254740992.0)
 
 
 def _uniforms(stream: RandomStream, k: int) -> np.ndarray:
     """The next k ``stream.random()`` values, drawn at once.
 
-    ``random()`` takes two 32-bit MT19937 words and returns
-    ``((w1 >> 5) * 2**26 + (w2 >> 6)) * 2**-53``; ``getrandbits(64 * k)``
-    takes the same 2k words and puts the first in the lowest bits.
+    ``getrandbits(64 * k)`` takes the same 2k words as k ``random()`` calls
+    and puts the first in the lowest bits.
     """
     words = np.frombuffer(stream.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
-    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    return _to_random(words[0::2], words[1::2])
+
+
+class _Words:
+    """A session stream's MT19937 words, drawn in bulk and given back exactly.
+
+    The stream's state before each of the last two draws is kept, so
+    :meth:`seek` can leave the stream just after any word of them.
+    """
+
+    def __init__(self, stream: RandomStream) -> None:
+        self._stream = stream
+        self._drawn = 0
+        self._marks: list[tuple[int, tuple]] = []
+
+    def _mark(self, k: int) -> None:
+        self._marks = self._marks[-1:] + [(self._drawn, self._stream.getstate())]
+        self._drawn += k
+
+    def words(self, k: int) -> np.ndarray:
+        self._mark(k)
+        raw = self._stream.getrandbits(32 * k).to_bytes(4 * k, "little")
+        return np.frombuffer(raw, dtype="<u4")
+
+    def uniforms(self, k: int) -> np.ndarray:
+        self._mark(2 * k)
+        return _uniforms(self._stream, k)
+
+    def seek(self, used: int) -> None:
+        """Leave the stream as if only the first ``used`` words were drawn."""
+        drawn, state = next(mark for mark in reversed(self._marks) if mark[0] <= used)
+        self._stream.setstate(state)
+        self._stream.getrandbits(32 * (used - drawn))
+        self._drawn = used
 
 
 def _replay_counts(
     params: ProtocolParams,
     schedule: Schedule,
     laws: list[_VirtualLaw],
+    picture: str,
+    per_detection: float,
     rng: RandomStream,
 ) -> tuple[int, int, float, float, int, int]:
     """The counters of :func:`replay_counter`, from ``rng``'s draws in NumPy.
 
-    The estimation picture draws, per emitted round: delivery; detection if
-    delivered; Bob's basis; then, if detected, Alice's basis and the X
-    readout.  The laws share their delivery and detection probabilities, so
-    which draws are which does not depend on the op; :func:`_detections`
-    finds them, and the schedule then gives the op of each detected round.
-    Rounds after the n-th detection, in-flight or not, change no counter.
+    The laws share their delivery and detection probabilities, so which
+    draws are which does not depend on the op: :func:`_walk` finds them, or
+    they are five a round when every round is a detection.  The schedule
+    then gives the op of each detected round.  Rounds after the n-th
+    detection, in-flight or not, change no counter, so the walk stops there.
     """
     eve_rng = _eve_stream(rng)
-    index, draws = _detections(
-        functools.partial(_uniforms, rng),
-        params.n_det_ter,
-        params.max_rounds,
-        laws[0].p_deliver,
-        laws[0].p_detect,
-    )
-    b_z = draws[:, 0] < params.p_z_b
-    a_z = draws[:, 1] < params.p_z_a
-    detected = np.zeros(index[-1] + 1, dtype=bool)
-    detected[index] = True
+    n = params.n_det_ter
+    if laws[0].p_deliver >= 1.0 and laws[0].p_detect >= 1.0:
+        # random() < 1 always holds, so every round is a detection of five
+        # draws and there is nothing to walk (max_rounds >= n always).
+        step = _REPLAY_CHUNK // 5
+        rows = [_uniforms(rng, 5 * min(step, n - i)).reshape(-1, 5) for i in range(0, n, step)]
+        draws = np.concatenate(rows)
+        detected = np.ones(n, dtype=bool)
+        b_draw, a_draw, readout = draws[:, 2], draws[:, 3], draws[:, 4]
+    else:
+
+        def extract(u, starts, delivered, hits):
+            s = starts[hits]  # Bob's basis, Alice's basis, the X readout
+            return hits, u[s + 2], u[s + 3], u[s + 4]
+
+        (detected, b_draw, a_draw, readout), _ = _walk(
+            functools.partial(_uniforms, rng),
+            n,
+            params.max_rounds,
+            1,
+            per_detection,
+            _LAYOUTS[picture],
+            _one_draw_tests(laws[0]),
+            extract,
+        )
+    index = np.flatnonzero(detected)
+    b_z = b_draw < params.p_z_b
+    a_z = a_draw < params.p_z_a
     basis_b = np.where(b_z, Basis.Z.value, Basis.X.value).astype(np.uint8)
     op = schedule(detected, basis_b, functools.partial(_uniforms, eve_rng))[index]
     # xa != xb exactly when the readout falls between xx_cum[0] and xx_cum[2].
-    readout = draws[:, 2]
     error = (readout >= np.array([law.xx_cum[0] for law in laws])[op]) & (
         readout < np.array([law.xx_cum[2] for law in laws])[op]
     )
@@ -846,80 +1006,290 @@ def _replay_counts(
     )
 
 
-def _detections(
-    random_k: Callable[[int], np.ndarray],
+def _replay_session(
+    params: ProtocolParams,
+    schedule: Schedule,
+    laws: list,
+    picture: str,
+    per_detection: float,
+    rng: RandomStream,
+) -> tuple:
+    """``run_actual`` or ``run_virtual``'s output, from ``rng``'s draws in NumPy.
+
+    The same transcript, sifted strings and (virtual) retained states as
+    :func:`_session`, and ``rng`` is left in the same state.  The walk of
+    :func:`_walk` finds each round's draws; the schedule then gives the op of
+    each detected round, which sets Bob's bit (actual) or the law of the
+    deferred readout that the virtual picture draws after the last round.
+    """
+    eve_rng = _eve_stream(rng)
+    stream = _Words(rng)
+    p_z_a, p_z_b = params.p_z_a, params.p_z_b
+    if picture is _ACTUAL:
+        # By 2 * bit + Alice's basis, as in _outcome_cums.
+        deliver = np.array(laws[0].p_deliver).ravel()
+        detect = np.array(_detection(laws[0]))
+        one_deliver = len(set(deliver)) == 1
+
+        def delivery(w, limit):
+            f = _to_random(w[:-1], w[1:])  # random() from each word on
+            if one_deliver:
+                return np.flatnonzero(f[3 : limit + 3] < deliver[0])
+            code = (w[2 : limit + 2] >> 31 << 1) | (f[:limit] >= p_z_a)
+            return np.flatnonzero(f[3 : limit + 3] < deliver[code])
+
+        def detection(w, s):
+            a = _to_random(w[s], w[s + 1]) >= p_z_a
+            b = _to_random(w[s + 5], w[s + 6]) >= p_z_b
+            return _to_random(w[s + 7], w[s + 8]) < detect[4 * (w[s + 2] >> 31) + 2 * a + b]
+
+        tests = delivery, detection
+
+        def extract(w, starts, delivered, hits):
+            s = starts[hits]
+            return (
+                hits,
+                _to_random(w[starts + 5], w[starts + 6]) < p_z_b,
+                _to_random(w[s], w[s + 1]) < p_z_a,
+                (w[s + 2] >> 31).astype(np.uint8),  # getrandbits(1) is the top bit
+                _to_random(w[s + 7], w[s + 8]),
+            )
+
+        draw, words_per_unit = stream.words, 1
+    else:
+        tests = _one_draw_tests(laws[0])
+
+        def extract(u, starts, delivered, hits):
+            return hits, u[starts + 1 + delivered] < p_z_b, u[starts[hits] + 3] < p_z_a
+
+        draw, words_per_unit = stream.uniforms, 2
+    (hits, b_z, a_z, *rest), used = _walk(
+        draw,
+        params.n_det_ter,
+        params.max_rounds,
+        params.batch_size,
+        per_detection,
+        _LAYOUTS[picture],
+        tests,
+        extract,
+    )
+    stream.seek(words_per_unit * used)
+
+    index = np.flatnonzero(hits)
+    basis_b = np.where(b_z, Basis.Z.value, Basis.X.value).astype(np.uint8)
+    op = schedule(
+        hits[: index[-1] + 1], basis_b[index], functools.partial(_uniforms, eve_rng)
+    )[index]
+    basis_a = np.zeros_like(basis_b)
+    basis_a[index] = np.where(a_z, Basis.Z.value, Basis.X.value)
+    transcript = Transcript(params)
+    transcript.detected += memoryview(hits.view(np.uint8))
+    transcript.basis_b += memoryview(basis_b)
+    transcript.basis_a += memoryview(basis_a)
+    transcript.detected_basis_b += memoryview(basis_b[index])
+
+    b_z = b_z[index]
+    zz = a_z & b_z
+    xx = ~(a_z | b_z)
+    if picture is _ACTUAL:
+        a_bits, readout = rest
+        # Bob reads 0 below P(bob=0) of the round's law, else 1.
+        bob_zero = np.array([[cum[0] for cum in _outcome_cums(law)] for law in laws])
+        code = 4 * a_bits.astype(np.intp) + 2 * ~a_z + ~b_z
+        b_bits = (readout >= bob_zero[op, code]).astype(np.uint8)
+        z, x = zz, xx
+    else:
+        # The deferred readout: one draw per kept pair, in detection order.
+        kept = zz | xx
+        z = zz[kept]
+        x = ~z
+        cum = np.array([[law.xx_cum, law.zz_cum] for law in laws])[op[kept], z.astype(np.intp)]
+        u = np.empty(len(cum))
+        for start in range(0, len(u), _REPLAY_CHUNK):
+            part = u[start : start + _REPLAY_CHUNK]
+            part[:] = stream.uniforms(len(part))
+        outcome = np.where(
+            u < cum[:, 0], 0, np.where(u < cum[:, 1], 1, np.where(u < cum[:, 2], 2, 3))
+        ).astype(np.uint8)
+        a_bits, b_bits = outcome >> 1, outcome & 1
+    n_z, n_x = int(np.count_nonzero(z)), int(np.count_nonzero(x))
+    sifted = SiftedData(a_bits[z], b_bits[z], a_bits[x], b_bits[x], n_z, n_x)
+    if picture is _ACTUAL:
+        return transcript, sifted
+    states = [law.rho_detected for law in laws]
+    return transcript, sifted, [states[i] for i in op[zz].tolist()]
+
+
+def _one_draw_tests(law: _VirtualLaw) -> tuple[Callable, Callable]:
+    """:func:`_walk`'s tests when delivery and detection take a draw each."""
+    p_deliver, p_detect = law.p_deliver, law.p_detect
+    return (
+        lambda u, limit: np.flatnonzero(u[:limit] < p_deliver),
+        lambda u, starts: u[starts + 1] < p_detect,
+    )
+
+
+def _walk(
+    draw: Callable[[int], np.ndarray],
     n: int,
     max_rounds: int,
-    p_deliver: float,
-    p_detect: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walk the estimation draw order to the n-th detection.
+    batch: int,
+    per_detection: float,
+    layout: tuple[int, int, tuple[int, int]],
+    tests: tuple[Callable, Callable],
+    extract: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple],
+) -> tuple[list[np.ndarray], int]:
+    """Walk a session's rounds through its draws to the end of the session.
 
-    ``random_k(k)`` gives the session's next k ``random()`` values.  Returns
-    the emitted-round index of each of the n detected rounds and their last
-    three draws (Bob's basis, Alice's basis, X readout) as an (n, 3) array.
-    A round takes 2 draws if not delivered, 3 if delivered but not detected
-    and 5 if detected.  Raises :class:`MaxRoundsExceeded` as :func:`_session`
-    does.  Draws come in buffers of at most :data:`_REPLAY_CHUNK`, sized from
-    the expected draws per detection; a round cut by the end of a buffer is
-    carried into the next.
+    ``draw(k)`` gives the session's next k units: ``random()`` values or
+    MT19937 words.  ``layout`` is ``(span, skip, strides)`` from
+    :data:`_LAYOUTS`.  ``tests`` are two predicates on a buffer ``u``:
+    ``delivered(u, limit)`` gives the units below ``limit`` at which a round
+    that starts there is delivered, and ``detected(u, starts)`` whether the
+    delivered rounds at ``starts`` are detections.
+
+    The session ends at the n-th detection.  Rounds that are still emitted
+    to the end of its batch (never past ``max_rounds``) are in flight: their
+    detections are not counted, so they take the stride of a delivered round
+    that is not detected.  Raises :class:`MaxRoundsExceeded` as
+    :func:`_session` does.
+
+    Draws come in buffers of at most :data:`_REPLAY_CHUNK` units, sized from
+    ``per_detection``, the units to draw per detection; a round cut by the
+    end of a buffer is carried into the next.  For each buffer,
+    ``extract(u, starts, delivered, hits)`` gets the start of every round
+    emitted in it, and whether each was delivered and counted as detected.
+    Returns the arrays that ``extract`` returned, each joined over the
+    buffers, and the number of units the session used.
     """
-    if p_deliver == 1.0 and p_detect == 1.0:  # random() < 1.0 always: 5 draws a round
-        rows = []
-        for start in range(0, n, _REPLAY_CHUNK // 5):
-            m = min(n - start, _REPLAY_CHUNK // 5)
-            rows.append(random_k(5 * m).reshape(m, 5)[:, 2:])
-        return np.arange(n), np.concatenate(rows)
-    p_both = p_deliver * p_detect
-    per_detection = (2.0 + p_deliver + 2.0 * p_both) / p_both if p_both > 0.0 else math.inf
-    index, rows = [], []
-    tail = np.empty(0)
-    count = r = 0  # detections so far; index of the round at the head of the buffer
-    while count < n:
-        guess = 1.1 * (n - count) * per_detection + 64
-        u = np.concatenate((tail, random_k(_REPLAY_CHUNK if guess >= _REPLAY_CHUNK else int(guess))))
-        limit = len(u) - 4  # a round that starts before limit fits in the buffer
-        delivered = np.flatnonzero(u[:limit] < p_deliver)
+    span, skip, strides = layout
+    is_delivered, is_detected = tests
+    pieces = []
+    tail = None  # the units of the previous buffer from the round it did not fit
+    base = count = rounds = 0  # units before the buffer; detections and rounds so far
+    extra = None  # rounds still to emit after the n-th detection, once it is seen
+    while True:
+        want = (n - count) * per_detection + 64 if extra is None else (extra + 1) * span
+        u = draw(_REPLAY_CHUNK if want >= _REPLAY_CHUNK else int(want))
+        if tail is not None:
+            u = np.concatenate((tail, u))
+        limit = len(u) - span + 1  # a round that starts before limit fits in the buffer
+        delivered = is_delivered(u, limit)
         m = len(delivered)
-        # upcoming[a]: index in ``delivered`` of the first q >= a with
-        # q = a (mod 2), or m + a % 2 where there is none.  Undelivered rounds
-        # take two draws, so a walk over them keeps its parity.
-        upcoming = np.full(len(u) + 1, m, dtype=np.int64)
-        upcoming[1::2] += 1
-        upcoming[delivered] = np.arange(m)
-        for parity in (0, 1):
-            upcoming[parity::2] = np.minimum.accumulate(upcoming[parity::2][::-1])[::-1]
-        hit = u[delivered + 1] < p_detect
-        successor = upcoming[delivered + np.where(hit, 5, 3)].tolist()
-        path = []  # the delivered rounds of the walk, as indices into ``delivered``
-        j = int(upcoming[0])
-        while j < m:
-            path.append(j)
-            j = successor[j]
-        at = delivered[path]
-        hits = hit[path]
-        last = np.flatnonzero(hits)[n - count - 1 : n - count]  # the n-th detection
-        if len(last):
-            at, hits = at[: last[0] + 1], hits[: last[0] + 1]
-        else:  # end with the first round that may not fit; the next buffer starts there
-            p = int(at[-1]) + (5 if hits[-1] else 3) if len(at) else 0
-            at = np.append(at, max(p, limit + ((limit - p) & 1)))
-            hits = np.append(hits, False)
-        # Before each round of ``at``: the previous one, then undelivered rounds.
-        after = np.concatenate(([0], at[:-1] + np.where(hits[:-1], 5, 3)))
-        rounds = r + np.cumsum((at - after) >> 1) + np.arange(len(at))
-        late = np.flatnonzero(rounds >= max_rounds)[:1]
-        if len(late):
-            detected = count + np.count_nonzero(hits[: late[0]])
-            raise MaxRoundsExceeded(
-                f"no termination after {max_rounds} rounds ({detected} detected)"
-            )
-        index.append(rounds[hits])
-        rows.append(u[at[hits][:, None] + np.arange(2, 5)])
-        count += int(np.count_nonzero(hits))
-        r = int(rounds[-1])
-        tail = u[at[-1] :]
-    return np.concatenate(index), np.concatenate(rows)
+        # The walk needs the detections beforehand only if they set the
+        # stride; otherwise it tests just the rounds it takes.
+        hit = is_detected(u, delivered) if strides[0] != strides[1] else None
+        upcoming = None
+        p = 0  # the start of the next round
+        while True:
+            counting = extra is None
+            step = strides[0]
+            if counting and hit is not None and hit.any():
+                step = strides[1] if hit.all() else np.where(hit, strides[1], strides[0])
+            if m == limit and np.ndim(step) == 0:
+                path = np.arange(p, limit, step)  # every start delivered, one stride: no walk
+            else:
+                if upcoming is None:
+                    upcoming = _upcoming(delivered, len(u) + 1, skip)
+                successor = memoryview(upcoming[delivered + step])
+                path = []  # the delivered rounds of the walk, as indices into ``delivered``
+                visit = path.append
+                j = int(upcoming[p])
+                while j < m:
+                    visit(j)
+                    j = successor[j]
+            at = delivered[path]
+            if not counting:
+                hits = np.zeros(len(at), dtype=bool)
+            else:
+                hits = is_detected(u, at) if hit is None else hit[path]
+            # The n-th detection, if the walk is counting and it is here.
+            found = np.flatnonzero(hits)[n - count - 1 : n - count] if counting else []
+            stop = None  # where the next buffer starts, unless the session ends here
+            if len(found):
+                at, hits = at[: found[0] + 1], hits[: found[0] + 1]
+            else:
+                end = int(at[-1]) + (strides[1] if hits[-1] else strides[0]) if len(at) else p
+                stop = end if end >= limit else end - (end - limit) // skip * skip
+            if m == limit:  # every round here is delivered
+                starts, emitted_delivered, emitted_hits = at, np.ones(len(at), dtype=bool), hits
+            else:
+                starts, delivered_at = _round_starts(
+                    p, at, at + np.where(hits, strides[1], strides[0]), stop, skip
+                )
+                emitted_delivered = np.zeros(len(starts), dtype=bool)
+                emitted_delivered[delivered_at] = True
+                emitted_hits = np.zeros(len(starts), dtype=bool)
+                emitted_hits[delivered_at] = hits
+            if counting and rounds + len(starts) > max_rounds:
+                detected = count + np.count_nonzero(emitted_hits[: max_rounds - rounds])
+                raise MaxRoundsExceeded(
+                    f"no termination after {max_rounds} rounds ({detected} detected)"
+                )
+            if not counting and len(starts) >= extra:
+                starts = starts[:extra]
+                emitted_delivered = emitted_delivered[:extra]
+                emitted_hits = emitted_hits[:extra]
+                stop = None
+            pieces.append(extract(u, starts, emitted_delivered, emitted_hits))
+            rounds += len(starts)
+            if stop is not None:
+                if not counting:
+                    extra -= len(starts)
+                else:
+                    count += int(np.count_nonzero(hits))
+                break
+            if counting:
+                count = n
+                extra = min(-(-rounds // batch) * batch, max_rounds) - rounds
+                p = int(at[-1]) + strides[1]
+            else:
+                last = int(starts[-1])
+                p = last + (strides[0] if emitted_delivered[-1] else skip)
+                extra = 0
+            if extra == 0:
+                # Join the buffers' pieces column by column.
+                columns = [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*pieces)]
+                return columns, base + p
+        tail = u[stop:]
+        base += stop
+
+
+def _upcoming(delivered: np.ndarray, size: int, skip: int) -> np.ndarray:
+    """For each unit q < size, where a walk of undelivered rounds from q stops.
+
+    That is the index in ``delivered`` of the first delivered start at or
+    after q that is equal to q mod ``skip``, or ``len(delivered)`` where
+    there is none.
+    """
+    m = len(delivered)
+    grid = np.full((-(-size // skip), skip), m, dtype=np.int32)
+    grid.ravel()[delivered] = np.arange(m, dtype=np.int32)
+    upcoming = np.empty_like(grid)
+    np.minimum.accumulate(grid[::-1], out=upcoming[::-1])
+    return upcoming.ravel()
+
+
+def _round_starts(
+    p: int, at: np.ndarray, ends: np.ndarray, stop: int | None, skip: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The starts of the rounds from unit p on, and where ``at`` is among them.
+
+    ``at`` are the delivered rounds of a walk from p, in order, and ``ends``
+    where each of them ends.  Undelivered rounds, ``skip`` units each, fill
+    the gaps before each of them and, unless ``stop`` is None, the gap from
+    the last one up to ``stop``.
+    """
+    first = np.concatenate(([p], ends)).astype(np.intp)
+    runs = (at - first[:-1]) // skip + 1
+    if stop is None:
+        first = first[:-1]
+    else:
+        runs = np.append(runs, -(-(stop - first[-1]) // skip))
+    last = np.cumsum(runs)
+    total = int(last[-1]) if len(last) else 0
+    starts = np.repeat(first - skip * (last - runs), runs) + skip * np.arange(total)
+    return starts, last[: len(at)] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -1071,15 +1441,4 @@ def sifted_to_json(sifted: SiftedData) -> dict:
         "s_bz_hex": bits_to_hex(sifted.s_bz),
         "s_ax_hex": bits_to_hex(sifted.s_ax),
         "s_bx_hex": bits_to_hex(sifted.s_bx),
-    }
-
-
-def final_keys_to_json(keys: FinalKeys) -> dict:
-    return {
-        "aborted": keys.aborted,
-        "key_length": int(len(keys.f_az)),
-        "lambda_ec": keys.lambda_ec,
-        "f_az_hex": bits_to_hex(keys.f_az),
-        "f_bz_hex": bits_to_hex(keys.f_bz),
-        "meta": dict(keys.meta),
     }

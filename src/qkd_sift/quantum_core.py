@@ -142,14 +142,6 @@ class Density4:
     def validate(self) -> None:
         _check_density(self.mat, 4, "Density4")
 
-    def partial_trace_b(self) -> Density2:
-        """Alice's reduced state (trace out B)."""
-        return Density2._wrap(np.einsum("ibjb->ij", self.mat.reshape(2, 2, 2, 2)))
-
-    def partial_trace_a(self) -> Density2:
-        """Bob's reduced state (trace out A)."""
-        return Density2._wrap(np.einsum("aiaj->ij", self.mat.reshape(2, 2, 2, 2)))
-
 
 @dataclass(frozen=True)
 class ChannelOp:

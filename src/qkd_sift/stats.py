@@ -199,12 +199,13 @@ def coverage_trials(
     with the documented counter scheme, and trials run in index order on the
     calling thread.  For a strategy with a ``schedule`` whose ops share their
     delivery and detection probabilities under ``povm`` (every built-in
-    strategy), each trial's session is replayed from its own MT19937 streams
-    in NumPy, without a transcript or a ``behavior`` call; other strategies
-    run the round loop of :func:`run_estimation`.  The numbers are the same
-    either way (see :func:`~qkd_sift.protocol.replay_counter`), and a
-    trial that exceeds ``max_rounds`` raises the same
-    :class:`MaxRoundsExceeded`.  ``workers`` is accepted and ignored.
+    strategy that detects at all), each trial's session is replayed from its
+    own MT19937 streams in NumPy, without a transcript or a ``behavior``
+    call; other strategies run the round loop of :func:`run_estimation`.
+    The numbers are the same either way (see
+    :func:`~qkd_sift.protocol.replay_counter`), and a trial that exceeds
+    ``max_rounds`` raises the same :class:`MaxRoundsExceeded`.  ``workers``
+    is accepted and ignored.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")

@@ -20,7 +20,6 @@ from qkd_sift.cli import (
     SweepSpec,
     config_from_dict,
     config_to_dict,
-    emit_config,
     keyrate_rows,
     load_config,
     main,
@@ -139,7 +138,8 @@ def test_config_round_trips_through_dict_and_file(tmp_path):
     cfg = config_from_dict(doc)
     assert config_from_dict(config_to_dict(cfg)) == cfg
     path = str(tmp_path / "echo.json")
-    emit_config(cfg, path)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(config_to_dict(cfg), f, indent=2)
     assert load_config(path) == cfg
 
 

@@ -1,5 +1,6 @@
 """Session loops: termination, announcements, law agreement, distillation."""
 
+import itertools
 import json
 import random
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qkd_sift import protocol
 from qkd_sift.adversary import (
     AdaptiveBasisTracker,
     Depolarizing,
@@ -37,7 +39,6 @@ from qkd_sift.protocol import (
     _RoundKernel,
     bits_to_hex,
     derive_stream,
-    final_keys_to_json,
     hex_to_bits,
     postprocess,
     run_actual,
@@ -549,6 +550,130 @@ def test_estimation_respects_adaptive_strategies():
         assert 0.0 <= pr.p_ph <= q_z + 1e-15
 
 
+# -- session replay: the round loop's draws walked in NumPy ---------------------
+
+# Every built-in strategy kind, both tracker windows, and a law whose delivery
+# probability differs between the Z and X source states in its last digit.
+_REPLAY_STRATEGIES = {
+    "identity": IdentityLossy(0.0),
+    "lossy": IdentityLossy(0.5),
+    "depolarizing": Depolarizing(0.04, p_loss=0.5),
+    "depolarizing-90%-loss": Depolarizing(0.15, p_loss=0.9),
+    "intercept-random": InterceptResend(),
+    "intercept-always-x": InterceptResend(basis_policy="always_x"),
+    "tracker-window-1": AdaptiveBasisTracker(1, 1.5),
+    "tracker-window-16": AdaptiveBasisTracker(16),
+}
+_PICTURES = (protocol._ACTUAL, protocol._VIRTUAL)
+
+
+def _loop_and_replay(params, eve, povm, picture, stream):
+    """The round loop's and the replay's outcome of one session, and their
+    streams afterwards; an outcome is the result or the MaxRoundsExceeded
+    message."""
+    replay = protocol._replayer(params, eve, povm, picture)
+    assert replay is not None
+    outcomes = []
+    for run in (
+        lambda rng: protocol._session(
+            params, eve, rng, povm, CountDetected(params.n_det_ter), picture
+        ),
+        replay,
+    ):
+        rng = random.Random(stream)
+        try:
+            outcomes.append((run(rng), rng.getstate()))
+        except MaxRoundsExceeded as exc:
+            outcomes.append((str(exc), None))
+    return outcomes
+
+
+def _assert_same_session(got, want, where):
+    (got, got_state), (want, want_state) = got, want
+    assert got_state == want_state, where
+    if isinstance(want, str):
+        assert got == want, where
+        return
+    for column in ("detected", "basis_b", "basis_a", "detected_basis_b"):
+        a, b = getattr(got[0], column), getattr(want[0], column)
+        assert type(a) is type(b) is bytearray and a == b, (where, column)
+    for field in ("s_az", "s_bz", "s_ax", "s_bx"):
+        a, b = getattr(got[1], field), getattr(want[1], field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (where, field)
+    assert (got[1].n_z, got[1].n_x) == (want[1].n_z, want[1].n_x), where
+    if len(want) == 3:
+        assert len(got[2]) == len(want[2]), where
+        assert all(a is b for a, b in zip(got[2], want[2])), where
+
+
+@pytest.mark.parametrize("picture", _PICTURES)
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+@pytest.mark.parametrize("name", sorted(_REPLAY_STRATEGIES))
+def test_session_replay_matches_the_round_loop(name, eta, picture):
+    eve = make_strategy(_REPLAY_STRATEGIES[name])
+    povm = ideal_povm() if eta == 1.0 else detection_povm(eta)
+    for batch, p_z in itertools.product((1, 4, 7), (0.5, 0.7)):
+        params = _params(n=300, p_z_a=p_z, p_x_a=1.0 - p_z, batch_size=batch)
+        got, want = _loop_and_replay(params, eve, povm, picture, 10 * batch + int(10 * p_z))
+        _assert_same_session(got, want, (batch, p_z))
+
+
+@pytest.mark.parametrize("picture", _PICTURES)
+def test_session_replay_across_buffers(picture, monkeypatch):
+    povm = detection_povm(0.8)
+    eve = make_strategy(Depolarizing(0.15, p_loss=0.9))
+    # A session long enough for several full buffers, ...
+    params = _params(n=4000, batch_size=7)
+    _assert_same_session(*_loop_and_replay(params, eve, povm, picture, 1), "long")
+    # ... and buffers of 64 units, so that many rounds are cut at a buffer's
+    # end and the in-flight rounds and readouts spill into later buffers.
+    monkeypatch.setattr(protocol, "_REPLAY_CHUNK", 64)
+    for cfg in (IdentityLossy(0.0), AdaptiveBasisTracker(3, 1.5)):
+        params = _params(n=150, p_z=0.6, batch_size=7)
+        got, want = _loop_and_replay(params, make_strategy(cfg), povm, picture, 2)
+        _assert_same_session(got, want, cfg)
+
+
+@pytest.mark.parametrize("picture", _PICTURES)
+def test_session_replay_raises_max_rounds_as_the_round_loop(picture):
+    eve = make_strategy(IdentityLossy(0.5))
+    raised = 0
+    for max_rounds, batch, stream in itertools.product((20, 23, 30), (1, 3, 7), range(4)):
+        params = _params(n=12, max_rounds=max_rounds, batch_size=batch)
+        got, want = _loop_and_replay(params, eve, detection_povm(0.8), picture, stream)
+        _assert_same_session(got, want, (max_rounds, batch, stream))
+        raised += isinstance(want[0], str)
+    assert 0 < raised < 36
+
+
+@pytest.mark.parametrize("picture", _PICTURES)
+def test_sessions_that_never_detect_run_the_round_loop(picture):
+    lost = make_strategy(IdentityLossy(1.0))
+    params = _params(n=protocol._REPLAY_MIN_DETECTIONS, max_rounds=2000)
+    assert protocol._replayer(params, lost, ideal_povm(), picture) is None
+    run = run_actual if picture is protocol._ACTUAL else run_virtual
+    message = r"^no termination after 2000 rounds \(0 detected\)$"
+    with pytest.raises(MaxRoundsExceeded, match=message):
+        run(params, lost, derive_stream(9, 0))
+
+
+def test_long_sessions_of_built_in_strategies_are_replayed(monkeypatch):
+    def loop(*args):
+        raise AssertionError("the round loop ran")
+
+    monkeypatch.setattr(protocol, "_session", loop)
+    params = _params(n=protocol._REPLAY_MIN_DETECTIONS)
+    eve = make_strategy(AdaptiveBasisTracker(16))
+    assert run_actual(params, eve, derive_stream(4, 0))[0].n_detected == params.n_det_ter
+    assert run_virtual(params, eve, derive_stream(4, 1))[0].n_detected == params.n_det_ter
+    # Shorter sessions, and strategies without a schedule, run the loop.
+    with pytest.raises(AssertionError, match="round loop"):
+        run_actual(_params(n=params.n_det_ter - 1), eve, derive_stream(4, 2))
+    plain = EveStrategy(eve.label, eve.behavior)
+    with pytest.raises(AssertionError, match="round loop"):
+        run_virtual(params, plain, derive_stream(4, 3))
+
+
 # -- post-processing ------------------------------------------------------------
 
 
@@ -688,16 +813,13 @@ def test_rounds_writer_matches_json_dumps(name):
         )
 
 
-def test_final_keys_json_shape():
+def test_final_keys_shape():
     params = ProtocolParams(
         p_z_a=0.5, p_x_a=0.5, p_z_b=0.5, p_x_b=0.5,
         n_det_ter=300_000, eps_s=1e-4, eps_c=1e-6, delta=0.012,
     )
     keys = postprocess(_synthetic_sifted(75_000, 75_000), params, random.Random(24))
-    doc = final_keys_to_json(keys)
-    assert doc["key_length"] == len(keys.f_az)
-    assert doc["aborted"] is False
-    assert np.array_equal(
-        hex_to_bits(doc["f_az_hex"], doc["key_length"]), keys.f_az
-    )
-    assert doc["meta"]["tag_a"] == doc["meta"]["tag_b"]
+    assert keys.meta["key_length"] == len(keys.f_az) == len(keys.f_bz)
+    assert keys.aborted is False
+    assert np.array_equal(hex_to_bits(bits_to_hex(keys.f_az), len(keys.f_az)), keys.f_az)
+    assert keys.meta["tag_a"] == keys.meta["tag_b"]
