@@ -30,8 +30,13 @@ The loop has a NumPy counterpart for built-in strategies, those with a
 ``schedule``.  The stopping rule counts detections whatever their bases, so
 when every op of the strategy sends the draws the same way, a session is
 set by its draws alone: :func:`_walk` follows them through the stream's
-MT19937 words, and the schedule then gives each round's op.  ``run_actual``
-and ``run_virtual`` replay sessions of at least
+MT19937 words, and the schedule then gives each round's op.  The walk
+tests delivery and detection on the words themselves: ``random() < p``
+exactly when the 53-bit integer behind ``random()`` is below
+``ceil(p * 2**53)``, so a ``random()`` value is built only for a draw that
+is read.  It visits the delivered rounds and counts the undelivered ones
+between them; only a transcript needs the start of every round.
+``run_actual`` and ``run_virtual`` replay sessions of at least
 ``_REPLAY_MIN_DETECTIONS`` detections this way, and :func:`replay_counter`
 gives the estimation counters of coverage trials.  A replay returns what
 the loop returns and leaves the stream where the loop leaves it.  Custom
@@ -798,13 +803,16 @@ _REPLAY_MIN_DETECTIONS = 512
 # a round takes ``skip`` units if not delivered and ``strides[hit]`` if
 # delivered, and never more than ``span``.  The actual picture counts MT19937
 # words (basis 2, bit 1, delivery 2, Bob's basis 2, readout 2); the others
-# count ``random()`` values (delivery, detection, Bob's basis, then Alice's
-# basis and, in estimation, the X readout).
+# count ``random()`` values, two words each (delivery, detection, Bob's
+# basis, then Alice's basis and, in estimation, the X readout).
 _LAYOUTS = {
     _ACTUAL: (9, 7, (9, 9)),
     _VIRTUAL: (4, 2, (3, 4)),
     _ESTIMATION: (5, 2, (3, 5)),
 }
+# The units of a detected estimation round that its counters read: Bob's
+# basis, Alice's basis and the X readout.
+_ESTIMATION_READS = np.arange(2, 5)
 
 
 def replay_counter(
@@ -821,6 +829,15 @@ def replay_counter(
     otherwise this returns None.
     """
     return _replayer(params, eve, povm if povm is not None else ideal_povm(), _ESTIMATION)
+
+
+class _Tally(NamedTuple):
+    """What the estimation counters need of each law, indexed by op."""
+
+    error_from: np.ndarray  # xx_cum[0]: the X readouts from here ...
+    error_below: np.ndarray  # ... to below xx_cum[2] disagree
+    p_ph: tuple[list[int], int]  # q_z * t_phase, as :func:`_dyadic` gives it
+    p_xerr: tuple[list[int], int]  # q_x * t_phase
 
 
 def _replayer(
@@ -867,8 +884,17 @@ def _replayer(
     # Units to draw per detection to come: the expected number, with a 10%
     # margin unless every round is a detection.
     per_detection = per_round / p_hit * (1.0 if p_hit >= 1.0 else 1.1)
-    replay = _replay_counts if picture is _ESTIMATION else _replay_session
-    return functools.partial(replay, params, eve.schedule, laws, picture, per_detection)
+    if picture is not _ESTIMATION:
+        return functools.partial(
+            _replay_session, params, eve.schedule, laws, picture, per_detection
+        )
+    tally = _Tally(
+        np.array([law.xx_cum[0] for law in laws]),
+        np.array([law.xx_cum[2] for law in laws]),
+        _dyadic([params.q_z * law.t_phase for law in laws]),
+        _dyadic([params.q_x * law.t_phase for law in laws]),
+    )
+    return functools.partial(_replay_counts, params, eve.schedule, laws[0], tally, per_detection)
 
 
 def _outcome_cums(law: _ActualLaw) -> list[tuple[float, float]]:
@@ -884,6 +910,27 @@ def _detection(law: _ActualLaw) -> tuple[float, ...]:
     return tuple(max(cum) for cum in _outcome_cums(law))
 
 
+def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over one power of two, and that power.
+
+    A float is a dyadic rational, so value j is exactly ``numerators[j] /
+    scale``.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(denominator for _, denominator in ratios)
+    return [numerator * (scale // denominator) for numerator, denominator in ratios], scale
+
+
+def _repeated_sum(weights: tuple[list[int], int], counts: Sequence[int]) -> float:
+    """``math.fsum`` of ``counts[j]`` copies of value j, for ``weights = _dyadic(values)``.
+
+    Both are the exact sum rounded once: the sum of the numerators is an
+    exact int, and the true division of two ints is correctly rounded.
+    """
+    numerators, scale = weights
+    return sum(map(operator.mul, counts, numerators)) / scale
+
+
 def _to_random(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """The ``random()`` values built from MT19937 words ``hi`` then ``lo``.
 
@@ -893,14 +940,54 @@ def _to_random(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return ((hi >> 5) * 67108864.0 + (lo >> 6)) * (1.0 / 9007199254740992.0)
 
 
-def _uniforms(stream: RandomStream, k: int) -> np.ndarray:
-    """The next k ``stream.random()`` values, drawn at once.
+def _below(hi: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
+    """The indices i at which ``random()`` from words ``hi[i]`` then ``lo[i]`` is below p.
 
-    ``getrandbits(64 * k)`` takes the same 2k words as k ``random()`` calls
-    and puts the first in the lowest bits.
+    ``random()`` is x * 2**-53 for the 53-bit integer x = (hi >> 5) * 2**26
+    + (lo >> 6), and p * 2**53 is exact, so the test is x < t = ceil(p *
+    2**53): hi >> 5 below t >> 26, or equal to it and lo >> 6 below the low
+    26 bits of t.  No float is built, and ``lo`` is read only at those ties,
+    one unit in 2**27.
     """
-    words = np.frombuffer(stream.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
-    return _to_random(words[0::2], words[1::2])
+    if p >= 1.0:
+        return np.arange(len(hi))
+    if not p > 0.0:
+        return np.arange(0)
+    t = math.ceil(p * 9007199254740992.0)
+    edge = t >> 26 << 5  # the least hi that ties t; edge + 31 < 2**32 as p < 1
+    at = np.flatnonzero(hi <= edge + 31)
+    tie = np.flatnonzero(hi[at] >= edge)
+    if len(tie):
+        at = np.delete(at, tie[(lo[at[tie]] >> 6) >= (t & 0x3FFFFFF)])
+    return at
+
+
+def _words(stream: RandomStream, k: int) -> np.ndarray:
+    """The next k MT19937 words of ``stream``, drawn at once.
+
+    ``getrandbits(32 * k)`` takes k words and puts the first in the lowest
+    bits; ``random()`` takes two.
+    """
+    return np.frombuffer(stream.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")
+
+
+def _word_pairs(stream: RandomStream, k: int) -> np.ndarray:
+    """The words of the next k ``random()`` values, two to a uint64 (see :func:`_halves`)."""
+    return _words(stream, 2 * k).view("<u8")
+
+
+def _halves(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second words of packed ``random()`` values, as views.
+
+    A gather of the packed values moves both words of each at once.
+    """
+    words = pairs.view("<u4")
+    return words[..., 0::2], words[..., 1::2]
+
+
+def _uniforms(stream: RandomStream, k: int) -> np.ndarray:
+    """The next k ``stream.random()`` values, drawn at once."""
+    return _to_random(*_halves(_word_pairs(stream, k)))
 
 
 class _Words:
@@ -915,18 +1002,16 @@ class _Words:
         self._drawn = 0
         self._marks: list[tuple[int, tuple]] = []
 
-    def _mark(self, k: int) -> None:
+    def words(self, k: int) -> np.ndarray:
         self._marks = self._marks[-1:] + [(self._drawn, self._stream.getstate())]
         self._drawn += k
+        return _words(self._stream, k)
 
-    def words(self, k: int) -> np.ndarray:
-        self._mark(k)
-        raw = self._stream.getrandbits(32 * k).to_bytes(4 * k, "little")
-        return np.frombuffer(raw, dtype="<u4")
+    def pairs(self, k: int) -> np.ndarray:
+        return self.words(2 * k).view("<u8")
 
     def uniforms(self, k: int) -> np.ndarray:
-        self._mark(2 * k)
-        return _uniforms(self._stream, k)
+        return _to_random(*_halves(self.pairs(k)))
 
     def seek(self, used: int) -> None:
         """Leave the stream as if only the first ``used`` words were drawn."""
@@ -939,68 +1024,69 @@ class _Words:
 def _replay_counts(
     params: ProtocolParams,
     schedule: Schedule,
-    laws: list[_VirtualLaw],
-    picture: str,
+    law: _VirtualLaw,
+    tally: _Tally,
     per_detection: float,
     rng: RandomStream,
 ) -> tuple[int, int, float, float, int, int]:
     """The counters of :func:`replay_counter`, from ``rng``'s draws in NumPy.
 
-    The laws share their delivery and detection probabilities, so which
-    draws are which does not depend on the op: :func:`_walk` finds them, or
-    they are five a round when every round is a detection.  The schedule
-    then gives the op of each detected round.  Rounds after the n-th
-    detection, in-flight or not, change no counter, so the walk stops there.
+    The laws share their delivery and detection probabilities (those of
+    ``law``), so which draws are which does not depend on the op:
+    :func:`_walk` finds the detections, or they are every round, five draws
+    each, when every round is a detection.  The schedule then gives the op
+    of each detection.  Rounds after the n-th detection, in-flight or not,
+    change no counter, so the walk stops there, and only the draws that the
+    counters read become ``random()`` values.
     """
     eve_rng = _eve_stream(rng)
     n = params.n_det_ter
-    if laws[0].p_deliver >= 1.0 and laws[0].p_detect >= 1.0:
+    # With one op every detection has it, and the schedule is not needed.
+    several = len(tally.error_from) > 1
+    if law.p_deliver >= 1.0 and law.p_detect >= 1.0:
         # random() < 1 always holds, so every round is a detection of five
         # draws and there is nothing to walk (max_rounds >= n always).
         step = _REPLAY_CHUNK // 5
-        rows = [_uniforms(rng, 5 * min(step, n - i)).reshape(-1, 5) for i in range(0, n, step)]
-        draws = np.concatenate(rows)
-        detected = np.ones(n, dtype=bool)
-        b_draw, a_draw, readout = draws[:, 2], draws[:, 3], draws[:, 4]
+        pairs = np.concatenate([_word_pairs(rng, 5 * min(step, n - i)) for i in range(0, n, step)])
+        reads = pairs.reshape(n, 5)[:, 2:]  # Bob's basis, Alice's basis, the X readout
+        index = np.arange(n)
     else:
 
-        def extract(u, starts, delivered, hits):
-            s = starts[hits]  # Bob's basis, Alice's basis, the X readout
-            return hits, u[s + 2], u[s + 3], u[s + 4]
+        def extract(s: _Stretch) -> tuple:
+            reads = s.u[s.at[s.hits][:, np.newaxis] + _ESTIMATION_READS]
+            return (reads, _round_index(s)[s.hits]) if several else (reads,)
 
-        (detected, b_draw, a_draw, readout), _ = _walk(
-            functools.partial(_uniforms, rng),
+        columns, _, _ = _walk(
+            functools.partial(_word_pairs, rng),
             n,
             params.max_rounds,
             1,
             per_detection,
-            _LAYOUTS[picture],
-            _one_draw_tests(laws[0]),
+            _LAYOUTS[_ESTIMATION],
+            _one_draw_tests(law),
             extract,
         )
-    index = np.flatnonzero(detected)
+        reads, index = columns if several else (columns[0], None)
+    b_draw, a_draw, readout = _to_random(*_halves(reads)).T
     b_z = b_draw < params.p_z_b
     a_z = a_draw < params.p_z_a
-    basis_b = np.where(b_z, Basis.Z.value, Basis.X.value).astype(np.uint8)
-    op = schedule(detected, basis_b, functools.partial(_uniforms, eve_rng))[index]
+    if several:
+        detected = np.zeros(index[-1] + 1, dtype=bool)
+        detected[index] = True
+        basis_b = np.where(b_z, Basis.Z.value, Basis.X.value).astype(np.uint8)
+        op = schedule(detected, basis_b, functools.partial(_uniforms, eve_rng))[index]
+        per_op = np.bincount(op, minlength=len(tally.error_from)).tolist()
+    else:
+        op, per_op = 0, [n]
     # xa != xb exactly when the readout falls between xx_cum[0] and xx_cum[2].
-    error = (readout >= np.array([law.xx_cum[0] for law in laws])[op]) & (
-        readout < np.array([law.xx_cum[2] for law in laws])[op]
-    )
+    error = (readout >= tally.error_from[op]) & (readout < tally.error_below[op])
     zz = a_z & b_z
     xx = ~(a_z | b_z)
-    # fsum is correctly rounded, so it equals the exact sum rounded once:
-    # per op, the count of its rounds times its probability.
-    per_op = np.bincount(op, minlength=len(laws)).tolist()
-
-    def fsum_of(q: float) -> float:
-        return float(sum(c * Fraction(q * law.t_phase) for c, law in zip(per_op, laws)))
-
     return (
         int(np.count_nonzero(zz & error)),
         int(np.count_nonzero(xx & error)),
-        fsum_of(params.q_z),
-        fsum_of(params.q_x),
+        _repeated_sum(tally.p_ph, per_op),
+        _repeated_sum(tally.p_xerr, per_op),
         int(np.count_nonzero(zz)),
         int(np.count_nonzero(xx)),
     )
@@ -1029,14 +1115,15 @@ def _replay_session(
         # By 2 * bit + Alice's basis, as in _outcome_cums.
         deliver = np.array(laws[0].p_deliver).ravel()
         detect = np.array(_detection(laws[0]))
-        one_deliver = len(set(deliver)) == 1
 
         def delivery(w, limit):
-            f = _to_random(w[:-1], w[1:])  # random() from each word on
-            if one_deliver:
-                return np.flatnonzero(f[3 : limit + 3] < deliver[0])
-            code = (w[2 : limit + 2] >> 31 << 1) | (f[:limit] >= p_z_a)
-            return np.flatnonzero(f[3 : limit + 3] < deliver[code])
+            # Every delivered round is below the largest p_deliver; where the
+            # bit and basis give another, the readout is tested against it.
+            at = _below(w[3 : limit + 3], w[4 : limit + 4], deliver.max())
+            if deliver.min() == deliver.max():
+                return at
+            code = (w[at + 2] >> 31 << 1) | (_to_random(w[at], w[at + 1]) >= p_z_a)
+            return at[_to_random(w[at + 3], w[at + 4]) < deliver[code]]
 
         def detection(w, s):
             a = _to_random(w[s], w[s + 1]) >= p_z_a
@@ -1045,25 +1132,31 @@ def _replay_session(
 
         tests = delivery, detection
 
-        def extract(w, starts, delivered, hits):
-            s = starts[hits]
+        def extract(s: _Stretch) -> tuple:
+            w, at = s.u, s.at[s.hits]
+            starts, delivered = _round_starts(s)
             return (
-                hits,
+                s.before + np.flatnonzero(delivered)[s.hits],
                 _to_random(w[starts + 5], w[starts + 6]) < p_z_b,
-                _to_random(w[s], w[s + 1]) < p_z_a,
-                (w[s + 2] >> 31).astype(np.uint8),  # getrandbits(1) is the top bit
-                _to_random(w[s + 7], w[s + 8]),
+                _to_random(w[at], w[at + 1]) < p_z_a,
+                (w[at + 2] >> 31).astype(np.uint8),  # getrandbits(1) is the top bit
+                _to_random(w[at + 7], w[at + 8]),
             )
 
         draw, words_per_unit = stream.words, 1
     else:
         tests = _one_draw_tests(laws[0])
 
-        def extract(u, starts, delivered, hits):
-            return hits, u[starts + 1 + delivered] < p_z_b, u[starts[hits] + 3] < p_z_a
+        def extract(s: _Stretch) -> tuple:
+            starts, delivered = _round_starts(s)
+            return (
+                s.before + np.flatnonzero(delivered)[s.hits],
+                _to_random(*_halves(s.u[starts + 1 + delivered])) < p_z_b,
+                _to_random(*_halves(s.u[s.at[s.hits] + 3])) < p_z_a,
+            )
 
-        draw, words_per_unit = stream.uniforms, 2
-    (hits, b_z, a_z, *rest), used = _walk(
+        draw, words_per_unit = stream.pairs, 2
+    (index, b_z, a_z, *rest), rounds, used = _walk(
         draw,
         params.n_det_ter,
         params.max_rounds,
@@ -1075,7 +1168,8 @@ def _replay_session(
     )
     stream.seek(words_per_unit * used)
 
-    index = np.flatnonzero(hits)
+    hits = np.zeros(rounds, dtype=bool)
+    hits[index] = True
     basis_b = np.where(b_z, Basis.Z.value, Basis.X.value).astype(np.uint8)
     op = schedule(
         hits[: index[-1] + 1], basis_b[index], functools.partial(_uniforms, eve_rng)
@@ -1121,12 +1215,15 @@ def _replay_session(
 
 
 def _one_draw_tests(law: _VirtualLaw) -> tuple[Callable, Callable]:
-    """:func:`_walk`'s tests when delivery and detection take a draw each."""
+    """:func:`_walk`'s tests when delivery and detection take a ``random()`` each."""
     p_deliver, p_detect = law.p_deliver, law.p_detect
-    return (
-        lambda u, limit: np.flatnonzero(u[:limit] < p_deliver),
-        lambda u, starts: u[starts + 1] < p_detect,
-    )
+
+    def detected(u, starts):
+        hit = np.zeros(len(starts), dtype=bool)
+        hit[_below(*_halves(u[starts + 1]), p_detect)] = True
+        return hit
+
+    return lambda u, limit: _below(*_halves(u[:limit]), p_deliver), detected
 
 
 def _walk(
@@ -1137,16 +1234,17 @@ def _walk(
     per_detection: float,
     layout: tuple[int, int, tuple[int, int]],
     tests: tuple[Callable, Callable],
-    extract: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple],
-) -> tuple[list[np.ndarray], int]:
+    extract: Callable[[_Stretch], tuple],
+) -> tuple[list[np.ndarray], int, int]:
     """Walk a session's rounds through its draws to the end of the session.
 
-    ``draw(k)`` gives the session's next k units: ``random()`` values or
-    MT19937 words.  ``layout`` is ``(span, skip, strides)`` from
-    :data:`_LAYOUTS`.  ``tests`` are two predicates on a buffer ``u``:
-    ``delivered(u, limit)`` gives the units below ``limit`` at which a round
-    that starts there is delivered, and ``detected(u, starts)`` whether the
-    delivered rounds at ``starts`` are detections.
+    ``draw(k)`` gives the session's next k units: MT19937 words, or
+    ``random()`` values as :func:`_word_pairs` packs their words.
+    ``layout`` is ``(span, skip, strides)`` from :data:`_LAYOUTS`.
+    ``tests`` are two predicates on a buffer ``u``: ``delivered(u, limit)``
+    gives the units below ``limit`` at which a round that starts there is
+    delivered, and ``detected(u, starts)`` whether the delivered rounds at
+    ``starts`` are detections.
 
     The session ends at the n-th detection.  Rounds that are still emitted
     to the end of its batch (never past ``max_rounds``) are in flight: their
@@ -1156,11 +1254,12 @@ def _walk(
 
     Draws come in buffers of at most :data:`_REPLAY_CHUNK` units, sized from
     ``per_detection``, the units to draw per detection; a round cut by the
-    end of a buffer is carried into the next.  For each buffer,
-    ``extract(u, starts, delivered, hits)`` gets the start of every round
-    emitted in it, and whether each was delivered and counted as detected.
-    Returns the arrays that ``extract`` returned, each joined over the
-    buffers, and the number of units the session used.
+    end of a buffer is carried into the next.  The walk visits only the
+    delivered rounds; the undelivered ones between them are counted, not
+    built.  ``extract`` gets each :class:`_Stretch` of rounds emitted from a
+    buffer.  Returns the arrays that ``extract`` returned, each joined over
+    the stretches, the number of rounds emitted, and the number of units
+    the session used.
     """
     span, skip, strides = layout
     is_delivered, is_detected = tests
@@ -1191,13 +1290,7 @@ def _walk(
             else:
                 if upcoming is None:
                     upcoming = _upcoming(delivered, len(u) + 1, skip)
-                successor = memoryview(upcoming[delivered + step])
-                path = []  # the delivered rounds of the walk, as indices into ``delivered``
-                visit = path.append
-                j = int(upcoming[p])
-                while j < m:
-                    visit(j)
-                    j = successor[j]
+                path = _chase(upcoming[delivered + step], int(upcoming[p]), m)
             at = delivered[path]
             if not counting:
                 hits = np.zeros(len(at), dtype=bool)
@@ -1205,54 +1298,136 @@ def _walk(
                 hits = is_detected(u, at) if hit is None else hit[path]
             # The n-th detection, if the walk is counting and it is here.
             found = np.flatnonzero(hits)[n - count - 1 : n - count] if counting else []
-            stop = None  # where the next buffer starts, unless the session ends here
             if len(found):
                 at, hits = at[: found[0] + 1], hits[: found[0] + 1]
-            else:
-                end = int(at[-1]) + (strides[1] if hits[-1] else strides[0]) if len(at) else p
+            end = int(at[-1]) + strides[1 if hits[-1] else 0] if len(at) else p
+            stop = None  # where the next buffer starts, unless the session ends here
+            after = 0  # undelivered rounds after the last delivered one
+            if not len(found):
                 stop = end if end >= limit else end - (end - limit) // skip * skip
-            if m == limit:  # every round here is delivered
-                starts, emitted_delivered, emitted_hits = at, np.ones(len(at), dtype=bool), hits
-            else:
-                starts, delivered_at = _round_starts(
-                    p, at, at + np.where(hits, strides[1], strides[0]), stop, skip
+                after = (stop - end) // skip
+            emitted = after
+            if len(at):
+                # From p to the last delivered round, the units that no
+                # delivered round takes are undelivered rounds.
+                taken = strides[0] * (len(at) - 1) + (strides[1] - strides[0]) * int(
+                    np.count_nonzero(hits[:-1])
                 )
-                emitted_delivered = np.zeros(len(starts), dtype=bool)
-                emitted_delivered[delivered_at] = True
-                emitted_hits = np.zeros(len(starts), dtype=bool)
-                emitted_hits[delivered_at] = hits
-            if counting and rounds + len(starts) > max_rounds:
-                detected = count + np.count_nonzero(emitted_hits[: max_rounds - rounds])
+                emitted += len(at) + (int(at[-1]) - p - taken) // skip
+            stretch = _Stretch(u, p, at, hits, strides, after, skip, rounds, emitted)
+            if not counting and emitted >= extra:
+                # The batch ends here: keep its first ``extra`` rounds.
+                index = _round_index(stretch) - rounds
+                kept = int(np.searchsorted(index, extra))  # delivered rounds among them
+                at, hits = at[:kept], hits[:kept]
+                end = int(at[-1]) + strides[0] if kept else p
+                after = extra - (int(index[kept - 1]) + 1 if kept else 0)
+                emitted, stop = extra, None
+                stretch = _Stretch(u, p, at, hits, strides, after, skip, rounds, emitted)
+            if counting and rounds + emitted > max_rounds:
+                detected = count + np.count_nonzero(_round_index(stretch)[hits] < max_rounds)
                 raise MaxRoundsExceeded(
                     f"no termination after {max_rounds} rounds ({detected} detected)"
                 )
-            if not counting and len(starts) >= extra:
-                starts = starts[:extra]
-                emitted_delivered = emitted_delivered[:extra]
-                emitted_hits = emitted_hits[:extra]
-                stop = None
-            pieces.append(extract(u, starts, emitted_delivered, emitted_hits))
-            rounds += len(starts)
+            pieces.append(extract(stretch))
+            rounds += emitted
             if stop is not None:
                 if not counting:
-                    extra -= len(starts)
+                    extra -= emitted
                 else:
                     count += int(np.count_nonzero(hits))
                 break
+            p = end + skip * after
             if counting:
                 count = n
                 extra = min(-(-rounds // batch) * batch, max_rounds) - rounds
-                p = int(at[-1]) + strides[1]
             else:
-                last = int(starts[-1])
-                p = last + (strides[0] if emitted_delivered[-1] else skip)
                 extra = 0
             if extra == 0:
-                # Join the buffers' pieces column by column.
+                # Join the stretches' pieces column by column.
                 columns = [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*pieces)]
-                return columns, base + p
+                return columns, rounds, base + p
         tail = u[stop:]
         base += stop
+
+
+class _Stretch(NamedTuple):
+    """The ``rounds`` rounds that a walk emits from one buffer, from unit ``p`` on.
+
+    ``at`` are the starts of the delivered rounds, in order, and ``hits``
+    whether each is a counted detection, which sets its stride in
+    ``strides``.  The other rounds are undelivered, ``skip`` units each:
+    they run from p and from the end of each delivered round up to the
+    next, and ``after`` of them follow the last one.  The session emitted
+    ``before`` rounds ahead of them.
+    """
+
+    u: np.ndarray
+    p: int
+    at: np.ndarray
+    hits: np.ndarray
+    strides: tuple[int, int]
+    after: int
+    skip: int
+    before: int
+    rounds: int
+
+
+def _runs(s: _Stretch) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of rounds of ``s`` starts, and how many rounds it has.
+
+    Each run but the last is undelivered rounds and the delivered round that
+    ends it; the last is the ``after`` rounds.
+    """
+    first = np.concatenate(([s.p], s.at + np.where(s.hits, s.strides[1], s.strides[0])))
+    return first, np.append((s.at - first[:-1]) // s.skip + 1, s.after)
+
+
+def _round_index(s: _Stretch) -> np.ndarray:
+    """The index of each delivered round of ``s`` among the session's rounds."""
+    if s.rounds == len(s.at):  # every round delivered
+        return s.before + np.arange(s.rounds)
+    return s.before + np.cumsum(_runs(s)[1][:-1]) - 1
+
+
+def _round_starts(s: _Stretch) -> tuple[np.ndarray, np.ndarray]:
+    """The start of each round of ``s``, and whether it is delivered."""
+    if s.rounds == len(s.at):
+        return s.at, np.ones(s.rounds, dtype=bool)
+    first, runs = _runs(s)
+    last = np.cumsum(runs)
+    starts = np.repeat(first - s.skip * (last - runs), runs) + s.skip * np.arange(s.rounds)
+    delivered = np.zeros(s.rounds, dtype=bool)
+    delivered[last[:-1] - 1] = True
+    return starts, delivered
+
+
+def _chase(successor: np.ndarray, j: int, m: int) -> np.ndarray:
+    """The chain j, successor[j], successor[successor[j]], ... of indices below m.
+
+    ``successor`` maps each index below m to a larger one, or to m.  The
+    Python loop follows the chain eight links a step, on ``successor``
+    composed with itself three times, and writes through a ``memoryview``
+    into a preallocated array; NumPy then fills in the links between,
+    halving the step three times.  The arrays are of ``intp``, which NumPy
+    gathers by without a cast.
+    """
+    jumps = [np.append(successor, m).astype(np.intp)]  # m ends the chain and maps to itself
+    for _ in range(3):
+        jumps.append(jumps[-1][jumps[-1]])
+    path = np.empty(m // 8 + 2, dtype=np.intp)
+    out, far = memoryview(path), memoryview(jumps.pop())
+    k = 0
+    while j < m:
+        out[k] = j
+        k += 1
+        j = far[j]
+    for jump in reversed(jumps):
+        links = np.empty(2 * k, dtype=np.intp)
+        links[0::2] = path[:k]
+        links[1::2] = jump[path[:k]]
+        path, k = links, 2 * k
+    return path[: np.searchsorted(path, m)]
 
 
 def _upcoming(delivered: np.ndarray, size: int, skip: int) -> np.ndarray:
@@ -1268,28 +1443,6 @@ def _upcoming(delivered: np.ndarray, size: int, skip: int) -> np.ndarray:
     upcoming = np.empty_like(grid)
     np.minimum.accumulate(grid[::-1], out=upcoming[::-1])
     return upcoming.ravel()
-
-
-def _round_starts(
-    p: int, at: np.ndarray, ends: np.ndarray, stop: int | None, skip: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The starts of the rounds from unit p on, and where ``at`` is among them.
-
-    ``at`` are the delivered rounds of a walk from p, in order, and ``ends``
-    where each of them ends.  Undelivered rounds, ``skip`` units each, fill
-    the gaps before each of them and, unless ``stop`` is None, the gap from
-    the last one up to ``stop``.
-    """
-    first = np.concatenate(([p], ends)).astype(np.intp)
-    runs = (at - first[:-1]) // skip + 1
-    if stop is None:
-        first = first[:-1]
-    else:
-        runs = np.append(runs, -(-(stop - first[-1]) // skip))
-    last = np.cumsum(runs)
-    total = int(last[-1]) if len(last) else 0
-    starts = np.repeat(first - skip * (last - runs), runs) + skip * np.arange(total)
-    return starts, last[: len(at)] - 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 import itertools
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -551,6 +552,79 @@ def test_estimation_respects_adaptive_strategies():
 
 
 # -- session replay: the round loop's draws walked in NumPy ---------------------
+
+# Probabilities at the edges of random()'s 53-bit grid: zero, the least
+# subnormal, the two floats just below 0.1 (their thresholds differ in the
+# last bit), a half, the largest value random() returns, and one.
+_THRESHOLD_PROBABILITIES = (
+    0.0, 5e-324, 0.09999999999999998, 0.09999999999999999, 0.5, 1.0 - 2.0**-53, 1.0,
+)
+
+
+def _threshold_words(p):
+    """Words whose random() value sits at p's threshold t = ceil(p * 2**53).
+
+    The first word ties t's high 27 bits (or just misses them), and the
+    second word's high 26 bits are t's low 26 bits, one less or one more.
+    """
+    t = math.ceil(p * 2.0**53)
+    high, low = t >> 26, t & (2**26 - 1)
+    firsts = [w for w in ((high << 5) - 1, high << 5, high << 5 | 31, (high + 1) << 5)
+              if 0 <= w < 2**32]
+    seconds = [part << 6 | tail for part in (low - 1, low, low + 1) if 0 <= part < 2**26
+               for tail in (0, 63)]
+    pairs = np.array(list(itertools.product(firsts, seconds)), dtype=np.uint32).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+@pytest.mark.parametrize("p", _THRESHOLD_PROBABILITIES)
+def test_threshold_test_on_words_equals_the_float_test(p):
+    words = np.random.default_rng(11).integers(0, 2**32, (2, 50_000), dtype=np.uint32)
+    at_edge = _threshold_words(p)
+    for hi, lo in (words, at_edge):
+        got = protocol._below(hi, lo, p)
+        want = np.flatnonzero(protocol._to_random(hi, lo) < p)
+        assert got.dtype == np.intp and np.array_equal(got, want), p
+    # The words at the edge cover both sides of the threshold (except where
+    # no value can be below p, or none above it).
+    below = len(protocol._below(*at_edge, p))
+    assert (below > 0 or p == 0.0) and (below < len(at_edge[0]) or p == 1.0), p
+
+
+def test_words_stand_for_the_random_values_they_replace():
+    stream = random.Random(5)
+    want = np.array([stream.random() for _ in range(1000)])
+    pairs = protocol._word_pairs(random.Random(5), 1000)
+    assert np.array_equal(protocol._to_random(*protocol._halves(pairs)), want)
+    assert np.array_equal(protocol._uniforms(random.Random(5), 1000), want)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 63, 1000])
+def test_chase_follows_every_link_of_the_chain(m):
+    rng = np.random.default_rng(m)
+    for start in range(min(m, 5) + 1):
+        # Each index maps to a larger one, or to m, which ends the chain.
+        successor = np.minimum(np.arange(m) + rng.integers(1, 4, m), m).astype(np.int32)
+        want, j = [], start
+        while j < m:
+            want.append(j)
+            j = int(successor[j])
+        assert protocol._chase(successor, start, m).tolist() == want, (m, start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.integers(0, 10**6)), min_size=1, max_size=3
+    )
+)
+@example([(5e-324, 10**6), (1.0, 10**6), (0.1, 3)])
+@example([(0.25 * 0.09999999999999998, 999_983), (0.25 * 0.7999999999999999, 17)])
+def test_repeated_sums_equal_fsum_of_the_expanded_rounds(terms):
+    values, counts = zip(*terms)
+    rounds = itertools.chain.from_iterable(itertools.repeat(v, c) for v, c in terms)
+    assert protocol._repeated_sum(protocol._dyadic(values), counts) == math.fsum(rounds)
+
 
 # Every built-in strategy kind, both tracker windows, and a law whose delivery
 # probability differs between the Z and X source states in its last digit.
