@@ -17,12 +17,11 @@ round on access (``len``, indexing, slices, iteration, ``reversed``).
 
 Each built-in strategy returns, for the whole session, ops from the small
 set that :func:`make_strategy` builds once per call; it builds no op per
-round.  That is not just thrift: the protocol engine memoizes the Born/Kraus
-algebra per ChannelOp instance, which turns the per-round cost into a few
-scalar samples.  ``make_strategy`` mints new ops on every call, so a caller
-that runs one configuration many times keeps the strategy (the CLI does, in
-``cli._strategy_for``).  Custom strategies are free to construct ops on the
-fly.
+round.  The protocol engine memoizes the Born/Kraus algebra per (POVM,
+ChannelOp) pair by value, which turns the per-round cost into a few scalar
+samples; ops that ``make_strategy`` mints again for one configuration equal
+the earlier ones, so a fresh strategy per run builds no law.  Custom
+strategies are free to construct ops on the fly.
 
 Built-in strategies also declare that set as ``EveStrategy.ops`` and carry a
 ``schedule``, the vectorized counterpart of ``behavior``.  A schedule is

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import io
 import itertools
 import json
@@ -29,7 +28,6 @@ from typing import Any, Callable
 from . import finite_key, stats
 from .adversary import (
     Depolarizing,
-    EveStrategy,
     IdentityLossy,
     StrategyConfig,
     make_strategy,
@@ -59,7 +57,7 @@ from .protocol import (
     transcript_rounds_parts,
     transcript_to_json,
 )
-from .quantum_core import BobPOVM, detection_povm, ideal_povm
+from .quantum_core import detection_povm
 
 SCHEMA_TAG = "qkd-sift/v1"
 
@@ -269,6 +267,10 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return doc
 
 
+def _reject_constant(token: str) -> None:
+    raise ParseError(f"{token} is not a JSON number")
+
+
 def load_config(path: str) -> RunConfig:
     """Read and validate a JSON config file."""
     try:
@@ -276,7 +278,7 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise IoError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -288,22 +290,9 @@ def load_config(path: str) -> RunConfig:
 # Mode runners
 
 
-# The session kernel is cached per POVM object and its laws per ChannelOp
-# object, so every run at one efficiency must hand it the same POVM, and every
-# run of one strategy config the same ops, or the kernel rebuilds the same laws.
-@functools.lru_cache(maxsize=16)
-def _povm_for(eta_det: float) -> BobPOVM:
-    return ideal_povm() if eta_det == 1.0 else detection_povm(eta_det)
-
-
-@functools.lru_cache(maxsize=16)
-def _strategy_for(cfg: StrategyConfig) -> EveStrategy:
-    return make_strategy(cfg)
-
-
 def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
-    povm = _povm_for(cfg.eta_det)
-    eve = _strategy_for(cfg.strategy)
+    povm = detection_povm(cfg.eta_det)
+    eve = make_strategy(cfg.strategy)
     runner = run_actual if cfg.mode == "actual" else run_virtual
     attach_detail = cfg.trials == 1
 
@@ -331,8 +320,8 @@ def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
 
 
 def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
-    povm = _povm_for(cfg.eta_det)
-    eve = _strategy_for(cfg.strategy)
+    povm = detection_povm(cfg.eta_det)
+    eve = make_strategy(cfg.strategy)
 
     def one(i: int) -> dict:
         run = run_estimation(cfg.params, eve, derive_stream(cfg.seed, i), povm=povm)
@@ -366,13 +355,13 @@ def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
 
 
 def _coverage_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
-    eve = _strategy_for(cfg.strategy)
+    eve = make_strategy(cfg.strategy)
     trial_stats = stats.coverage_trials(
         cfg.params,
         eve,
         cfg.trials,
         derive_stream(cfg.seed, 0),
-        povm=_povm_for(cfg.eta_det),
+        povm=detection_povm(cfg.eta_det),
     )
     report = stats.coverage_report(trial_stats, cfg.params.delta)
     eta_single = math.exp(-cfg.params.n_det_ter * cfg.params.delta**2 / 2.0)

@@ -123,10 +123,10 @@ class ProtocolParams:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValidationError(f"{name} must be in (0, 1), got {v!r}")
-        if self.delta < 0.0:
-            raise ValidationError(f"delta must be >= 0, got {self.delta!r}")
-        if self.f_ec < 1.0:
-            raise ValidationError(f"f_ec must be >= 1, got {self.f_ec!r}")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValidationError(f"delta must be finite and >= 0, got {self.delta!r}")
+        if not (math.isfinite(self.f_ec) and self.f_ec >= 1.0):
+            raise ValidationError(f"f_ec must be finite and >= 1, got {self.f_ec!r}")
         if self.max_rounds is None:
             object.__setattr__(self, "max_rounds", 1000 * self.n_det_ter)
         if not isinstance(self.max_rounds, int) or self.max_rounds < self.n_det_ter:
@@ -352,7 +352,10 @@ def _eve_stream(rng: RandomStream) -> RandomStream:
 
 
 # ---------------------------------------------------------------------------
-# Round kernel: per-ChannelOp algebra, computed once and then sampled from.
+# Round laws: the Born/Kraus algebra of one (POVM, channel op) pair, reduced
+# to plain floats once and then sampled from.  Both operators compare by value,
+# so every session that meets an equal pair shares one law.  The caches are
+# bounded because a custom strategy may mint an op of a new value every round.
 
 
 class _ActualLaw(NamedTuple):
@@ -379,119 +382,59 @@ def _cum_pair(probs: np.ndarray, what: str) -> tuple[float, float, float]:
     return (p00, p00 + p01, p00 + p01 + p10)
 
 
-_KERNEL_CACHE_MAX = 512
+@functools.lru_cache(maxsize=512)
+def _actual_law(povm: BobPOVM, op: ChannelOp) -> _ActualLaw:
+    p_deliver = []
+    outcome_cum = []
+    for bit in (0, 1):
+        p_row = []
+        cum_row = []
+        for basis in (Basis.Z, Basis.X):
+            p_del, rho_del, _ = qubit_channel_branches(source_state(bit, basis), op)
+            p_row.append(p_del)
+            if rho_del is None:
+                cum_row.append(((0.0, 0.0), (0.0, 0.0)))
+                continue
+            per_bob = []
+            for bob_basis in (Basis.Z, Basis.X):
+                p0, p1, p_fail = qubit_outcome_probs(rho_del, bob_basis, povm)
+                total = p0 + p1 + p_fail
+                if abs(total - 1.0) > _PROB_SUM_ATOL:
+                    raise NormalizationError(
+                        f"three-outcome probabilities sum to {total!r}"
+                    )
+                per_bob.append((p0, p0 + p1))
+            cum_row.append(tuple(per_bob))
+        p_deliver.append(tuple(p_row))
+        outcome_cum.append(tuple(cum_row))
+    return _ActualLaw(tuple(p_deliver), tuple(outcome_cum))
 
 
-class _RoundKernel:
-    """Memo of the Born/Kraus arithmetic per (POVM, channel op) pair.
-
-    Strategies reuse ChannelOp instances, so each distinct op is reduced once
-    to plain floats and every subsequent round costs only scalar samples.
-    Keyed by object identity; the op is referenced to keep ids stable.
-    """
-
-    def __init__(self, povm: BobPOVM) -> None:
-        self.povm = povm
-        self._actual: dict[int, _ActualLaw] = {}
-        self._virtual: dict[int, _VirtualLaw] = {}
-        self._refs: list[ChannelOp] = []
-
-    def _remember(self, op: ChannelOp) -> None:
-        self._refs.append(op)
-        if len(self._refs) > _KERNEL_CACHE_MAX:
-            # A strategy that mints a fresh op every round would grow the memo
-            # without bound; fall back to recomputing.
-            self._actual.clear()
-            self._virtual.clear()
-            self._refs.clear()
-
-    def actual(self, op: ChannelOp) -> _ActualLaw:
-        law = self._actual.get(id(op))
-        if law is None:
-            law = self._build_actual(op)
-            self._actual[id(op)] = law
-            self._remember(op)
-        return law
-
-    def virtual(self, op: ChannelOp) -> _VirtualLaw:
-        law = self._virtual.get(id(op))
-        if law is None:
-            law = self._build_virtual(op)
-            self._virtual[id(op)] = law
-            self._remember(op)
-        return law
-
-    def _build_actual(self, op: ChannelOp) -> _ActualLaw:
-        povm = self.povm
-        p_deliver = []
-        outcome_cum = []
-        for bit in (0, 1):
-            p_row = []
-            cum_row = []
-            for basis in (Basis.Z, Basis.X):
-                p_del, rho_del, _ = qubit_channel_branches(source_state(bit, basis), op)
-                p_row.append(p_del)
-                if rho_del is None:
-                    cum_row.append(((0.0, 0.0), (0.0, 0.0)))
-                    continue
-                per_bob = []
-                for bob_basis in (Basis.Z, Basis.X):
-                    p0, p1, p_fail = qubit_outcome_probs(rho_del, bob_basis, povm)
-                    total = p0 + p1 + p_fail
-                    if abs(total - 1.0) > _PROB_SUM_ATOL:
-                        raise NormalizationError(
-                            f"three-outcome probabilities sum to {total!r}"
-                        )
-                    per_bob.append((p0, p0 + p1))
-                cum_row.append(tuple(per_bob))
-            p_deliver.append(tuple(p_row))
-            outcome_cum.append(tuple(cum_row))
-        return _ActualLaw(tuple(p_deliver), tuple(outcome_cum))
-
-    def _build_virtual(self, op: ChannelOp) -> _VirtualLaw:
-        povm = self.povm
-        split = channel_branches(bell_pair(), op)
-        p_deliver = split.p_first
-        if split.rho_first is None:
-            return _VirtualLaw(p_deliver, 0.0, None, 0.0, (0.0,) * 3, (0.0,) * 3)
-        rho_delivered = split.rho_first
-        rho_delivered.validate()
-        fsplit = filter_branches(rho_delivered, povm)
-        p_detect = fsplit.p_first
-        if fsplit.rho_first is None:
-            return _VirtualLaw(p_deliver, p_detect, None, 0.0, (0.0,) * 3, (0.0,) * 3)
-        rho_detected = fsplit.rho_first
-        rho_detected.validate()
-        t = prob_phase_error(rho_detected, povm)
-        zz = pair_outcome_probs(rho_detected, Basis.Z, Basis.Z, povm)
-        xx = pair_outcome_probs(rho_detected, Basis.X, Basis.X, povm)
-        return _VirtualLaw(
-            p_deliver,
-            p_detect,
-            rho_detected,
-            t,
-            _cum_pair(zz, "ZZ readout"),
-            _cum_pair(xx, "XX readout"),
-        )
-
-
-# One kernel per POVM instance, shared across sessions so that short runs do
-# not pay the law construction over and over.  Dict ops are atomic under the
-# GIL; a rare duplicate build on a race is idempotent.
-_KERNELS: dict[int, _RoundKernel] = {}
-_KERNEL_POVMS: list[BobPOVM] = []
-
-
-def _kernel_for(povm: BobPOVM) -> _RoundKernel:
-    kernel = _KERNELS.get(id(povm))
-    if kernel is None:
-        kernel = _RoundKernel(povm)
-        if len(_KERNEL_POVMS) >= _KERNEL_CACHE_MAX:
-            _KERNELS.clear()
-            _KERNEL_POVMS.clear()
-        _KERNELS[id(povm)] = kernel
-        _KERNEL_POVMS.append(povm)
-    return kernel
+@functools.lru_cache(maxsize=512)
+def _virtual_law(povm: BobPOVM, op: ChannelOp) -> _VirtualLaw:
+    split = channel_branches(bell_pair(), op)
+    p_deliver = split.p_first
+    if split.rho_first is None:
+        return _VirtualLaw(p_deliver, 0.0, None, 0.0, (0.0,) * 3, (0.0,) * 3)
+    rho_delivered = split.rho_first
+    rho_delivered.validate()
+    fsplit = filter_branches(rho_delivered, povm)
+    p_detect = fsplit.p_first
+    if fsplit.rho_first is None:
+        return _VirtualLaw(p_deliver, p_detect, None, 0.0, (0.0,) * 3, (0.0,) * 3)
+    rho_detected = fsplit.rho_first
+    rho_detected.validate()
+    t = prob_phase_error(rho_detected, povm)
+    zz = pair_outcome_probs(rho_detected, Basis.Z, Basis.Z, povm)
+    xx = pair_outcome_probs(rho_detected, Basis.X, Basis.X, povm)
+    return _VirtualLaw(
+        p_deliver,
+        p_detect,
+        rho_detected,
+        t,
+        _cum_pair(zz, "ZZ readout"),
+        _cum_pair(xx, "XX readout"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +551,7 @@ def _session(
     # The picture is tested once; the loop branches on plain local flags.
     actual = picture is _ACTUAL
     virtual = picture is _VIRTUAL
-    kernel = _kernel_for(povm)
-    law_of = kernel.actual if actual else kernel.virtual
+    law_of = _actual_law if actual else _virtual_law
     eve_rng = _eve_stream(rng)
     behavior = eve.behavior
     rand = rng.random
@@ -653,8 +595,7 @@ def _session(
     n_det = 0
     idx = 0
     # The last op and its law: most strategies return one op all session, so
-    # the kernel is asked only when the op changes.  Holding the op keeps its
-    # id from being reused.
+    # the law cache is asked only when the op changes.
     last_op = law = None
 
     while n_det < det_target or len(az) < nz_req or len(ax) < nx_req:
@@ -668,7 +609,7 @@ def _session(
             idx += 1
             op = behavior(transcript, eve_rng)
             if op is not last_op:
-                law = law_of(op)
+                law = law_of(povm, op)
                 last_op = op
             if actual:
                 a_is_z = rand() < p_z_a
@@ -854,9 +795,8 @@ def _replayer(
     """
     if not eve.schedule or not eve.ops:
         return None
-    kernel = _kernel_for(povm)
     if picture is _ACTUAL:
-        laws = [kernel.actual(op) for op in eve.ops]
+        laws = [_actual_law(povm, op) for op in eve.ops]
         shared = {(law.p_deliver, _detection(law)) for law in laws}
         law = laws[0]
         a_probs = (params.p_z_a, params.p_x_a)
@@ -873,7 +813,7 @@ def _replayer(
             for b, p_b in enumerate(b_probs)
         )
     else:
-        laws = [kernel.virtual(op) for op in eve.ops]
+        laws = [_virtual_law(povm, op) for op in eve.ops]
         shared = {(law.p_deliver, law.p_detect) for law in laws}
         p_deliver = laws[0].p_deliver
         p_hit = p_deliver * laws[0].p_detect

@@ -76,6 +76,20 @@ def _freeze(m: np.ndarray) -> Matrix:
     return out
 
 
+class _ValueKeyed:
+    """Equality and hash by ``_key``, the bytes of an operator's frozen matrices."""
+
+    _key: tuple
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
 def _tr_product(a: Matrix, b: Matrix) -> float:
     """Re Tr(a @ b) without forming the product matrix."""
     return float(np.einsum("ij,ji->", a, b).real)
@@ -143,14 +157,17 @@ class Density4:
         _check_density(self.mat, 4, "Density4")
 
 
-@dataclass(frozen=True)
-class ChannelOp:
+@dataclass(frozen=True, eq=False)
+class ChannelOp(_ValueKeyed):
     """One round of adversarial channel action on system B.
 
     ``deliver_kraus`` are the Kraus operators of the branch that hands a qubit
     to Bob; ``lose_kraus`` of the branch where the round is lost before his
     detector.  Jointly they must be trace preserving.  Either list may be
     empty (always-deliver / always-lose channels) but not both.
+
+    Ops compare and hash by the bytes of their Kraus operators, so two ops
+    built alike share one memoized round law.
     """
 
     deliver_kraus: tuple[Matrix, ...]
@@ -173,6 +190,8 @@ class ChannelOp:
             raise DomainError(
                 f"ChannelOp: sum K^dag K deviates from identity by {defect:.3e}"
             )
+        key = (tuple(k.tobytes() for k in deliver), tuple(k.tobytes() for k in lose))
+        object.__setattr__(self, "_key", key)
 
     @cached_property
     def deliver_kraus_4(self) -> tuple[Matrix, ...]:
@@ -212,8 +231,8 @@ def _psd_pinv_sqrt(m: Matrix) -> Matrix:
     return (u * inv) @ u.conj().T
 
 
-@dataclass(frozen=True)
-class BobPOVM:
+@dataclass(frozen=True, eq=False)
+class BobPOVM(_ValueKeyed):
     """Bob's detector: per-basis bit elements plus one shared failure element.
 
     Completeness must hold through the *same* ``m_fail`` in both bases::
@@ -222,7 +241,7 @@ class BobPOVM:
 
     so Pr[detection] = Tr((I - m_fail) rho) regardless of the basis Bob will
     announce — the announcements cannot leak the basis through detection
-    statistics.
+    statistics.  POVMs compare and hash by the bytes of their elements.
     """
 
     m0z: Matrix
@@ -247,6 +266,8 @@ class BobPOVM:
                 raise DomainError(
                     f"BobPOVM: {basis.name}-basis completeness violated by {defect:.3e}"
                 )
+        key = tuple(m.tobytes() for m in (self.m0z, self.m1z, self.m0x, self.m1x, self.m_fail))
+        object.__setattr__(self, "_key", key)
 
     def element(self, bit: int, basis: Basis) -> Matrix:
         if basis is Basis.Z:

@@ -394,37 +394,30 @@ def test_main_run_and_thread_count_determinism(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_repeated_lossy_detector_runs_share_one_kernel(tmp_path):
-    # The session kernel is cached by POVM identity; a fresh POVM per run
-    # would rebuild the same laws and strand one dead kernel per run.
-    cfg_path = _write(tmp_path, dict(MINIMAL, eta_det=0.8, seed=3))
-    out = str(tmp_path / "report.json")
-    before = len(protocol._KERNELS)
-    for _ in range(5):
-        assert main(["run", "--config", cfg_path, "--out", out]) == 0
-    assert len(protocol._KERNELS) - before <= 1
-
-
-def test_repeated_runs_of_one_strategy_build_laws_once(tmp_path, monkeypatch):
-    # Kernel laws are memoized per ChannelOp object; a fresh strategy per run
-    # would mint fresh ops and rebuild the same laws on every run.
+@pytest.mark.parametrize("mode", ["actual", "virtual", "estimation"])
+def test_repeated_runs_of_one_config_build_laws_once(tmp_path, monkeypatch, mode):
+    # Round laws are memoized by the value of the (POVM, op) pair, so the
+    # fresh POVM and strategy that each run builds reuse the laws of run 1.
+    protocol._actual_law.cache_clear()
+    protocol._virtual_law.cache_clear()
     builds = []
-    for name in ("_build_actual", "_build_virtual"):
-        build = getattr(protocol._RoundKernel, name)
+    for name in ("channel_branches", "qubit_channel_branches"):
+        branches = getattr(protocol, name)
 
-        def counted(self, op, build=build):
-            builds.append(op)
-            return build(self, op)
+        def counted(*args, branches=branches):
+            builds.append(args)
+            return branches(*args)
 
-        monkeypatch.setattr(protocol._RoundKernel, name, counted)
-    doc = dict(MINIMAL, mode="actual", strategy={"kind": "depolarizing", "p": 0.07, "p_loss": 0.1})
-    cfg_path = _write(tmp_path, doc)
+        monkeypatch.setattr(protocol, name, counted)
+    strategy = {"kind": "depolarizing", "p": 0.07, "p_loss": 0.1}
+    cfg_path = _write(tmp_path, dict(MINIMAL, mode=mode, eta_det=0.8, strategy=strategy))
     out = str(tmp_path / "report.json")
     per_run = []
     for _ in range(5):
         before = len(builds)
         assert main(["run", "--config", cfg_path, "--out", out]) == 0
         per_run.append(len(builds) - before)
+    assert per_run[0] > 0
     assert per_run[1:] == [0, 0, 0, 0]
 
 
@@ -475,6 +468,18 @@ def test_main_reports_config_errors_as_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValidationError"
     assert "rule" in err["error"]["message"]
+
+
+def test_main_rejects_a_non_finite_delta(tmp_path, capsys):
+    # Python's json module reads the NaN token; the schema allows only numbers.
+    text = json.dumps(dict(MINIMAL, mode="coverage", trials=2)).replace('"delta": 0.05', '"delta": NaN')
+    assert "NaN" in text
+    cfg_path = _write(tmp_path, text)
+    assert main(["run", "--config", cfg_path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["schema"] == SCHEMA_TAG
+    assert err["error"]["type"] == "ParseError"
+    assert "NaN" in err["error"]["message"]
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -37,7 +37,8 @@ from qkd_sift.protocol import (
     RoundRecord,
     SiftedData,
     Transcript,
-    _RoundKernel,
+    _actual_law,
+    _virtual_law,
     bits_to_hex,
     derive_stream,
     hex_to_bits,
@@ -95,6 +96,11 @@ def test_params_reject_out_of_range_fields():
         _params(delta=-0.01)
     with pytest.raises(ValidationError):
         _params(f_ec=0.99)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="delta must be finite"):
+            _params(delta=bad)
+        with pytest.raises(ValidationError, match="f_ec must be finite"):
+            _params(f_ec=bad)
     with pytest.raises(ValidationError):
         _params(batch_size=0)
 
@@ -390,11 +396,10 @@ def test_prepared_and_entangled_oracles_agree(op_name, eta):
 def test_session_kernel_matches_the_oracle_laws(op_name, eta):
     op = _OPS[op_name]
     kraus = [np.asarray(k) for k in op.deliver_kraus]
-    povm = ideal_povm() if eta == 1.0 else detection_povm(eta)
-    kernel = _RoundKernel(povm)
+    povm = detection_povm(eta)
 
     # prepared-qubit side
-    law = kernel.actual(op)
+    law = _actual_law(povm, op)
     oracle = oracles.qubit_round_law(kraus, 0.6, 0.4, eta)
     for bit in (0, 1):
         for ai, basis_a in enumerate(("Z", "X")):
@@ -413,7 +418,7 @@ def test_session_kernel_matches_the_oracle_laws(op_name, eta):
                 assert c1 == pytest.approx(p0 + p1, abs=1e-12)
 
     # entangled side
-    vlaw = kernel.virtual(op)
+    vlaw = _virtual_law(povm, op)
     pair = oracles.entangled_round_law(kraus, 0.6, 0.4, eta)
     assert vlaw.p_deliver == pytest.approx(1.0 - pair["lost"], abs=1e-12)
     p_detect_mass = vlaw.p_deliver * vlaw.p_detect
@@ -513,14 +518,22 @@ def test_estimation_x_readouts_match_born_probabilities():
             assert abs(counts[i, j] / n - p) < 4 * sigma + 1e-12
 
 
-def test_estimation_weights_follow_fresh_ops_every_round():
-    # A strategy that mints a new op each round overflows the kernel's op
-    # cache, so dead laws get collected and their ids reused; every p_ph must
-    # still belong to the op of its own round.
+@pytest.mark.parametrize(
+    "draw_p",
+    [
+        pytest.param(lambda rng: rng.choice((0.0, 0.2, 0.4, 0.6)), id="four_values"),
+        pytest.param(lambda rng: rng.random(), id="distinct_values"),
+    ],
+)
+def test_estimation_weights_follow_fresh_ops_every_round(draw_p):
+    # A strategy that mints a new op each round: with four values the fresh
+    # ops equal earlier ones and share their laws; with a new value each
+    # round the 3000 distinct laws overflow the 512-entry law cache, which
+    # then evicts.  Either way every p_ph must belong to its own round's op.
     chosen = []
 
     def behavior(prefix, rng):
-        p = rng.choice((0.0, 0.2, 0.4, 0.6))
+        p = draw_p(rng)
         chosen.append(p)
         return depolarizing_channel(p)
 

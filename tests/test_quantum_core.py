@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qkd_sift.adversary import Depolarizing, make_strategy
 from qkd_sift.errors import DomainError, NormalizationError
 from qkd_sift.quantum_core import (
     Basis,
@@ -190,6 +191,20 @@ def test_detection_povm_rejects_bad_efficiency():
         detection_povm(1.5)
     with pytest.raises(DomainError):
         detection_povm(0.0)
+
+
+def test_ops_and_povms_compare_by_value():
+    cfg = Depolarizing(p=0.1, p_loss=0.2)
+    (op1,), (op2,) = make_strategy(cfg).ops, make_strategy(cfg).ops
+    assert op1 is not op2
+    assert op1 == op2 and hash(op1) == hash(op2)
+    assert detection_povm(0.8) == detection_povm(0.8)
+    assert hash(detection_povm(0.8)) == hash(detection_povm(0.8))
+    assert detection_povm(1.0) == ideal_povm()
+    assert IDENTITY != PHASE_FLIP
+    assert _op([I2]) != _op([], [I2])  # same matrix, other branch
+    assert detection_povm(0.8) != detection_povm(0.9)
+    assert op1 != "op" and detection_povm(0.8) != op1
 
 
 def test_filter_with_no_failure_is_identity():
