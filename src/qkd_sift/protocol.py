@@ -1454,8 +1454,12 @@ def bits_to_hex(bits: np.ndarray) -> str:
 
 
 def hex_to_bits(hex_str: str, n_bits: int) -> np.ndarray:
-    if n_bits == 0:
-        return np.zeros(0, dtype=np.uint8)
+    """Unpack ``n_bits`` bits from hex as :func:`bits_to_hex` writes them."""
+    if n_bits < 0:
+        raise ValidationError(f"bit length must be >= 0, got {n_bits}")
+    n_digits = 2 * -(-n_bits // 8)
+    if len(hex_str) != n_digits:
+        raise ValidationError(f"{n_bits} bits take {n_digits} hex digits, got {len(hex_str)}")
     raw = np.frombuffer(bytes.fromhex(hex_str), dtype=np.uint8)
     return np.unpackbits(raw)[:n_bits].astype(np.uint8)
 
@@ -1494,8 +1498,13 @@ def transcript_rounds_parts(transcript: Transcript, depth: int) -> list[str]:
     A caller that splices the array into a larger text joins these pieces
     with the rest in one ``str.join``, so the array is never copied whole.
     A round's row depends only on its index and on the 3-bit code
-    (detected, basis_b, basis_a), so each code has one template and the
-    pieces alternate between index and template.
+    (detected, basis_b, basis_a).  Each round contributes two pieces: the
+    digits of its index above the last two, then an entry of an 800-entry
+    table keyed by ``(index % 100) * 8 + code`` that holds the two low digits
+    zero-padded, the row's tail and the opening of the next row.  So the
+    hundred rounds of a block share one ``str(index // 100)``.  Rounds 1-99
+    have no high digits: their first piece is the empty string and their
+    table entry holds the low digits unpadded.
     """
     n = len(transcript.detected)
     if n == 0:
@@ -1510,18 +1519,30 @@ def transcript_rounds_parts(transcript: Transcript, depth: int) -> list[str]:
         tails.append(
             f',{item}{detected},{item}"{_BASES[basis_b].name}",{item}{announced_a}{row}]'
         )
-    # Each index is followed by its row's tail and the opening of the next row.
-    between = [f"{tail},{row}[{item}" for tail in tails]
-    codes = (
-        (np.frombuffer(transcript.detected, dtype=np.uint8) << 2)
-        | (np.frombuffer(transcript.basis_b, dtype=np.uint8) << 1)
-        | np.frombuffer(transcript.basis_a, dtype=np.uint8)
-    ).tolist()
+    # Each row's tail is followed by the opening of the next row.  The tables
+    # are object arrays: indexing one hands out its own strings, so no object
+    # is made per round (a list of keys would make an int for each key > 256).
+    opening = f",{row}[{item}"
+    padded = np.array(
+        [f"{low:02d}{tail}{opening}" for low in range(100) for tail in tails], dtype=object
+    )
+    unpadded = np.array(
+        [f"{low}{tail}{opening}" for low in range(100) for tail in tails], dtype=object
+    )
+    keys = np.resize(np.arange(1, 101, dtype=np.uint16) % 100 << 3, n)
+    keys |= np.frombuffer(transcript.detected, dtype=np.uint8) << 2
+    keys |= np.frombuffer(transcript.basis_b, dtype=np.uint8) << 1
+    keys |= np.frombuffer(transcript.basis_a, dtype=np.uint8)
+    # Round i's pieces sit at 2i - 1 (high digits) and 2i (table entry).
     parts: list[str] = [""] * (2 * n + 1)
     parts[0] = f"[{row}[{item}"
-    parts[1::2] = map(str, range(1, n + 1))
-    parts[2::2] = map(between.__getitem__, codes)
-    parts[-1] = tails[codes[-1]] + outer + "]"
+    parts[2:200:2] = unpadded[keys[:99]].tolist()
+    parts[200::2] = padded[keys[99:]].tolist()
+    blocks = list(map(str, range(1, n // 100 + 1)))
+    for first in range(100, 200):
+        # Rounds first, first + 100, ... take one block each: every 200th piece.
+        parts[2 * first - 1 :: 200] = blocks[: len(range(first, n + 1, 100))]
+    parts[-1] = parts[-1][: -len(opening)] + outer + "]"
     return parts
 
 

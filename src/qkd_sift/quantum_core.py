@@ -36,7 +36,8 @@ RandomStream = random.Random
 
 # Tolerances.  Construction-time structural checks use 1e-10; conditional
 # states must be normalized within 1e-8; a branch whose probability falls
-# below 1e-12 is treated as impossible.
+# below 1e-12 is treated as impossible.  Checks are written ``not x <= atol``
+# so that a NaN defect (from a non-finite entry) fails them too.
 HERMITIAN_ATOL = 1e-10
 PSD_EIG_ATOL = 1e-10
 TRACE_MAX_ATOL = 1e-10
@@ -98,10 +99,10 @@ def _tr_product(a: Matrix, b: Matrix) -> float:
 def _check_density(m: Matrix, dim: int, what: str) -> None:
     if m.shape != (dim, dim):
         raise DomainError(f"{what}: expected {dim}x{dim} matrix, got {m.shape}")
-    if np.abs(m - m.conj().T).max() > HERMITIAN_ATOL:
+    if not np.abs(m - m.conj().T).max() <= HERMITIAN_ATOL:
         raise DomainError(f"{what}: not Hermitian within {HERMITIAN_ATOL}")
     eigs = np.linalg.eigvalsh(m)
-    if eigs.min() < -PSD_EIG_ATOL:
+    if not eigs.min() >= -PSD_EIG_ATOL:
         raise DomainError(f"{what}: negative eigenvalue {eigs.min():.3e}")
     tr = float(m.trace().real)
     if not -PSD_EIG_ATOL <= tr <= 1.0 + TRACE_MAX_ATOL:
@@ -186,7 +187,7 @@ class ChannelOp(_ValueKeyed):
                 raise DomainError(f"ChannelOp: Kraus operator of shape {k.shape}")
             acc += k.conj().T @ k
         defect = np.abs(acc - _I2).max()
-        if defect > COMPLETENESS_ATOL:
+        if not defect <= COMPLETENESS_ATOL:
             raise DomainError(
                 f"ChannelOp: sum K^dag K deviates from identity by {defect:.3e}"
             )
@@ -255,14 +256,14 @@ class BobPOVM(_ValueKeyed):
             m = np.asarray(getattr(self, name), dtype=np.complex128)
             if m.shape != (2, 2):
                 raise DomainError(f"BobPOVM.{name}: expected 2x2, got {m.shape}")
-            if np.abs(m - m.conj().T).max() > HERMITIAN_ATOL:
+            if not np.abs(m - m.conj().T).max() <= HERMITIAN_ATOL:
                 raise DomainError(f"BobPOVM.{name}: not Hermitian")
-            if np.linalg.eigvalsh(m).min() < -PSD_EIG_ATOL:
+            if not np.linalg.eigvalsh(m).min() >= -PSD_EIG_ATOL:
                 raise DomainError(f"BobPOVM.{name}: not positive semidefinite")
             object.__setattr__(self, name, _freeze(m))
         for basis, lo, hi in ((Basis.Z, self.m0z, self.m1z), (Basis.X, self.m0x, self.m1x)):
             defect = np.abs(lo + hi + self.m_fail - _I2).max()
-            if defect > COMPLETENESS_ATOL:
+            if not defect <= COMPLETENESS_ATOL:
                 raise DomainError(
                     f"BobPOVM: {basis.name}-basis completeness violated by {defect:.3e}"
                 )
@@ -457,7 +458,7 @@ def prob_phase_error(rho: Density4, povm: BobPOVM) -> float:
     value is Tr(rho @ pi_err_x), clipped of rounding dust into [0, 1].
     """
     tr = rho.trace
-    if abs(tr - 1.0) > NORMALIZATION_ATOL:
+    if not abs(tr - 1.0) <= NORMALIZATION_ATOL:
         raise NormalizationError(f"state trace {tr!r}, expected 1")
     val = _tr_product(rho.mat, povm.pi_err_x)
     if val < 0.0:

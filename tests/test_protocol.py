@@ -839,6 +839,18 @@ def test_bits_hex_round_trip(bits):
     assert np.array_equal(hex_to_bits(bits_to_hex(arr), len(arr)), arr)
 
 
+@pytest.mark.parametrize(
+    "hex_str, n_bits",
+    [("ff", 12), ("", 1), ("ffff", 8), ("ff0", 12), ("ff", -1), ("", -8)],
+    ids=["short", "empty", "long", "odd-length", "negative", "negative-empty"],
+)
+def test_hex_to_bits_rejects_a_length_mismatch(hex_str, n_bits):
+    # bits_to_hex writes exactly ceil(n_bits / 8) bytes; anything else is refused
+    # rather than decoded to an array of another length.
+    with pytest.raises(ValidationError):
+        hex_to_bits(hex_str, n_bits)
+
+
 def test_transcript_json_shape():
     transcript, sifted = run_actual(
         _params(n=6), make_strategy(IdentityLossy(0.4)), derive_stream(23, 0)
@@ -879,11 +891,24 @@ def _writer_transcripts():
     yield "every-code", Transcript(_params(), rounds=[
         rec._replace(index=i) for i, rec in enumerate(every_code * 20, 1)
     ])
+    # Around the writer's blocks of 100 rounds and the index widths, ending
+    # on an undetected and on a detected row.
+    rng = random.Random(11)
+    for n in (99, 100, 101, 199, 200, 999, 1000, 1001, 10_000, 10_001):
+        codes = [rng.randrange(6) for _ in range(n)]
+        for last, label in ((0, "undetected"), (5, "detected")):
+            codes[-1] = last
+            yield f"random-{n}-{label}", Transcript(_params(), rounds=[
+                rec._replace(index=i) for i, rec in enumerate(map(every_code.__getitem__, codes), 1)
+            ])
 
 
-@pytest.mark.parametrize("name", [name for name, _ in _writer_transcripts()])
+_WRITER_TRANSCRIPTS = dict(_writer_transcripts())
+
+
+@pytest.mark.parametrize("name", list(_WRITER_TRANSCRIPTS))
 def test_rounds_writer_matches_json_dumps(name):
-    transcript = dict(_writer_transcripts())[name]
+    transcript = _WRITER_TRANSCRIPTS[name]
     text = json.dumps(transcript_to_json(transcript), indent=2)
     start = text.index('"rounds": ') + len('"rounds": ')
     assert text[start:-2] == transcript_rounds_to_json(transcript, 1)

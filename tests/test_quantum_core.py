@@ -10,6 +10,7 @@ from qkd_sift.adversary import Depolarizing, make_strategy
 from qkd_sift.errors import DomainError, NormalizationError
 from qkd_sift.quantum_core import (
     Basis,
+    BobPOVM,
     ChannelOp,
     Density2,
     Density4,
@@ -121,6 +122,49 @@ def _random_kraus_pair(rng: np.random.Generator) -> ChannelOp:
 def test_channel_op_rejects_non_trace_preserving():
     with pytest.raises(DomainError):
         _op([I2 * 0.9])
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+# Arithmetic on a non-finite entry warns before the check rejects it.
+_quiet_nan = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+
+
+def _with_entry(m, row, col, value):
+    m = np.array(m, dtype=complex)
+    m[row, col] = value
+    return m
+
+
+@_quiet_nan
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("row, col", [(0, 0), (0, 1), (1, 1)])
+def test_channel_op_rejects_non_finite_kraus(value, row, col):
+    # An all-NaN op used to construct, and channel_branches then gave p_first nan.
+    with pytest.raises(DomainError):
+        _op([np.full((2, 2), value)])
+    with pytest.raises(DomainError):
+        _op([_with_entry(I2, row, col, value)])
+    with pytest.raises(DomainError):
+        _op([I2 * 0.6], [_with_entry(I2 * 0.8, row, col, value)])
+
+
+@_quiet_nan
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("name", ["m0z", "m1z", "m0x", "m1x", "m_fail"])
+def test_bob_povm_rejects_non_finite_elements(value, name):
+    elements = {n: getattr(ideal_povm(), n) for n in ("m0z", "m1z", "m0x", "m1x", "m_fail")}
+    for bad in (np.full((2, 2), value), _with_entry(elements[name], 0, 0, value)):
+        with pytest.raises(DomainError):
+            BobPOVM(**{**elements, name: bad})
+
+
+@_quiet_nan
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_density_rejects_non_finite_entries(value):
+    with pytest.raises(DomainError):
+        Density2.from_matrix(_with_entry(I2 / 2, 0, 0, value))
+    with pytest.raises(DomainError):
+        Density4.from_matrix(_with_entry(np.eye(4) / 4, 1, 2, value))
 
 
 def test_channel_op_rejects_empty():
