@@ -313,14 +313,18 @@ def enumerate_bias(
     rounds are excluded and the report is conditioned on the terminating mass.
 
     Every arrangement of a composition (length, #Z, #X) has the same product
-    probability, so the enumeration carries only integers.  It runs level by
-    level in NumPy arrays: each level extends every live prefix by each
-    letter of nonzero probability and splits off the prefixes that terminate
-    as leaves.  Per composition it counts the terminating arrangements and
-    their X->X and X->Z adjacencies; exact rational arithmetic then runs once
-    per composition.  ``t_distribution`` lists the terminating sequences in
-    lexicographic order with M < X < Z.
+    probability, so the report needs, per terminating composition, only the
+    number of its terminating arrangements and their X->X and X->Z
+    adjacencies.  A DP over the live states (#Z, #X, last letter was X), one
+    length at a time, counts them.  Each letter's probability is an integer
+    over one common denominator d, so every mass is an integer over
+    ``d**max_rounds`` and each probability in the report is an exact ratio,
+    rounded once.  A level-by-level walk in NumPy arrays, keeping each live
+    prefix's base-3 code, #Z and #X, lists the terminating sequences of
+    ``t_distribution`` in lexicographic order with M < X < Z.
     """
+    if isinstance(max_rounds, bool) or not isinstance(max_rounds, int):
+        raise DomainError(f"max_rounds must be an int, got {max_rounds!r}")
     if max_rounds < 1:
         raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
     if max_rounds > _ENUM_MAX_ROUNDS:
@@ -336,125 +340,133 @@ def enumerate_bias(
     elif not isinstance(rule, CountPerBasis):
         raise DomainError(f"unsupported termination rule {rule!r}")
 
-    p_z_a, p_z_b = (Fraction(p) for p in p_bases)
-    for p in (p_z_a, p_z_b):
-        if not 0 <= p <= 1:
+    for p in p_bases:
+        if not 0 <= p <= 1:  # false for NaN too
             raise DomainError(f"basis probability {float(p)} outside [0, 1]")
+    p_z_a, p_z_b = (Fraction(p) for p in p_bases)
     q_z = p_z_a * p_z_b
     q_x = (1 - p_z_a) * (1 - p_z_b)
     q_m = 1 - q_z - q_x
+    # Each letter's probability is a / d for one common denominator d.
+    d = math.lcm(q_m.denominator, q_x.denominator, q_z.denominator)
+    a_m, a_x, a_z = (q.numerator * (d // q.denominator) for q in (q_m, q_x, q_z))
     # Both rules read "stop once n >= n_req, c_z >= z_req and c_x >= x_req".
     if isinstance(rule, CountDetected):
         n_req, z_req, x_req = rule.n, 0, 0
     else:
         n_req, z_req, x_req = 1, rule.n_z_req, rule.n_x_req
+    # The letters of nonzero probability, coded M=0, X=1, Z=2.
+    digits = [digit for digit, a in enumerate((a_m, a_x, a_z)) if a]
 
-    # Level by level over letters with nonzero probability, coded M=0, X=1,
-    # Z=2: each level extends every live prefix by every letter and splits off
-    # as leaves the prefixes that meet the stopping condition.  Live columns:
-    # base-3 code, #Z, #X, #X->X and #X->Z adjacencies, last letter was X.
-    digit = np.array([d for d, q in enumerate((q_m, q_x, q_z)) if q], dtype=np.int32)
-    is_x, is_z = digit == 1, digit == 2
-    code = np.zeros(1, dtype=np.int32)
-    c_z, c_x, xx, xz = (np.zeros(1, dtype=np.uint8) for _ in range(4))
-    after_x = np.zeros(1, dtype=bool)
-    # Per level: leaf codes padded with M to max_rounds digits, compositions
-    # (n, #Z, #X) packed as (n*16 + #Z)*16 + #X, and the adjacency counts.
-    leaves = []
+    # Each live state (#Z, #X, last letter was X) carries [its prefixes,
+    # their X->X adjacencies, their X->Z adjacencies]; a prefix that meets the
+    # stopping condition adds its numbers to its composition (n, #Z, #X).
+    live = {(0, 0, False): [1, 0, 0]}
+    tally: dict[tuple[int, int, int], list[int]] = {}
     for n in range(1, max_rounds + 1):
-        code = (code[:, None] * 3 + digit).ravel()
-        c_z = (c_z[:, None] + is_z).ravel()
-        c_x = (c_x[:, None] + is_x).ravel()
-        xx = (xx[:, None] + (after_x[:, None] & is_x)).ravel()
-        xz = (xz[:, None] + (after_x[:, None] & is_z)).ravel()
-        after_x = np.tile(is_x, len(after_x))
-        stop = (c_z >= z_req) & (c_x >= x_req) & (n >= n_req)
-        leaves.append((
-            code[stop] * 3 ** (max_rounds - n),
-            (n * 16 + c_z[stop].astype(np.int32)) * 16 + c_x[stop],
-            xx[stop],
-            xz[stop],
-        ))
-        live = ~stop
-        code, c_z, c_x, xx, xz, after_x = (
-            col[live] for col in (code, c_z, c_x, xx, xz, after_x)
-        )
-        if not len(code):
+        grown: dict[tuple[int, int, bool], list[int]] = {}
+        for (c_z, c_x, after_x), (count, xx, xz) in live.items():
+            for letter in digits:
+                is_x, is_z = letter == 1, letter == 2
+                z, x = c_z + is_z, c_x + is_x
+                if n >= n_req and z >= z_req and x >= x_req:
+                    sums = tally.setdefault((n, z, x), [0, 0, 0])
+                else:
+                    sums = grown.setdefault((z, x, is_x), [0, 0, 0])
+                sums[0] += count
+                sums[1] += xx + count * (after_x and is_x)
+                sums[2] += xz + count * (after_x and is_z)
+        live = grown
+        if not live:
             break
-    # Each stage frees its arrays before the next: at k = 12 that keeps about
-    # 25 MiB off the peak.
-    del code, c_z, c_x, xx, xz, after_x, stop, live
-    leaf_code, comp, leaf_xx, leaf_xz = map(np.concatenate, zip(*leaves))
-    del leaves
-    n_terms = np.bincount(comp)
-    comps = np.flatnonzero(n_terms)
-    # Per composition: [terminating arrangements, their X->X, their X->Z].
-    # The float sums of bincount are exact: they stay below 12 * 3**12.
-    tally = {
-        (c >> 8, c >> 4 & 15, c & 15): counts
-        for c, *counts in zip(
-            comps.tolist(),
-            n_terms[comps].tolist(),
-            *(np.bincount(comp, adj)[comps].astype(np.int64).tolist()
-              for adj in (leaf_xx, leaf_xz)),
-        )
-    }
-    # No leaf is a prefix of another, so ordering the padded codes orders the
-    # sequences lexicographically, M < X < Z.
-    order = np.argsort(leaf_code)
-    leaf_code, comp = leaf_code[order], comp[order]
-    del leaf_xx, leaf_xz, order
+    if not tally:
+        raise DomainError("no sequence terminates within max_rounds")
 
     # Deterministic prefix-correlated error pattern: an error occurs at round
     # i exactly when round i-1 was a test round, so test errors are X->X
     # adjacencies and code errors X->Z ones.  Under an exchangeable rule the
     # error rates on test and code positions coincide; a rule whose stopping
     # time reads the announcements drives them apart.  Each rate is a ratio
-    # of two masses, so their common 1/total factor is left out.
-    prob: dict[tuple[int, int, int], Fraction] = {}
-    total = tv = err_test = err_code = mass_test = mass_code = Fraction(0)
+    # of two masses, so their common 1/total factor is left out.  Every mass
+    # is an integer over d**max_rounds.
+    mass: dict[tuple[int, int, int], int] = {}
+    total = err_test = err_code = mass_test = mass_code = 0
+    tv = Fraction(0)
     for key, (n_term, xx, xz) in tally.items():
         n, c_z, c_x = key
         c_m = n - c_z - c_x
-        p = prob[key] = q_z**c_z * q_x**c_x * q_m**c_m
-        mass = p * n_term
-        total += mass
+        m = mass[key] = a_z**c_z * a_x**c_x * a_m**c_m * d ** (max_rounds - n)
+        total += m * n_term
         # Within a composition the conditional law is uniform over the
         # *terminating* arrangements; TV against uniform-over-all-arrangements
         # is 1 - |S| / M.
         arrangements = math.factorial(n) // (
             math.factorial(c_z) * math.factorial(c_x) * math.factorial(c_m)
         )
-        tv += mass * (1 - Fraction(n_term, arrangements))
-        err_test += p * xx
-        err_code += p * xz
-        mass_test += mass * c_x
-        mass_code += mass * c_z
-    if total == 0:
-        raise DomainError("no sequence terminates within max_rounds")
-    rate_test = err_test / mass_test if mass_test else Fraction(0)
-    rate_code = err_code / mass_code if mass_code else Fraction(0)
+        tv += Fraction(m * n_term * (arrangements - n_term), arrangements)
+        err_test += m * xx
+        err_code += m * xz
+        mass_test += m * n_term * c_x
+        mass_code += m * n_term * c_z
+    # A rate over zero mass is 0, and its error sum is then 0 too, so the
+    # rates differ exactly when the cross products do.
+    mass_test, mass_code = mass_test or 1, mass_code or 1
+
+    # Level by level: each level extends every live prefix by every letter
+    # and splits off as leaves the prefixes that meet the stopping condition.
+    # Per level: leaf codes padded with M to max_rounds digits, and
+    # compositions (n, #Z, #X) packed as (n*16 + #Z)*16 + #X.
+    digit = np.array(digits, dtype=np.int32)
+    is_x, is_z = digit == 1, digit == 2
+    code = np.zeros(1, dtype=np.int32)
+    c_z = c_x = np.zeros(1, dtype=np.uint8)
+    codes, comps = [], []
+    for n in range(1, max_rounds + 1):
+        code = (code[:, None] * 3 + digit).ravel()
+        c_z = (c_z[:, None] + is_z).ravel()
+        c_x = (c_x[:, None] + is_x).ravel()
+        stop = (c_z >= z_req) & (c_x >= x_req) & (n >= n_req)
+        codes.append(code[stop] * 3 ** (max_rounds - n))
+        comps.append((n * 16 + c_z[stop].astype(np.int32)) * 16 + c_x[stop])
+        live = ~stop
+        code, c_z, c_x = code[live], c_z[live], c_x[live]
+        if not len(code):
+            break
+    # Each stage frees its arrays before the next: at k = 12 that keeps about
+    # 25 MiB off the peak.
+    del code, c_z, c_x, stop, live
+    leaf_code, comp = np.concatenate(codes), np.concatenate(comps)
+    del codes, comps
+    # No leaf is a prefix of another, so ordering the padded codes orders the
+    # sequences lexicographically, M < X < Z.
+    order = np.argsort(leaf_code)
+    leaf_code, comp = leaf_code[order], comp[order]
+    del order
 
     # Each leaf's letters, then a newline, in one buffer: letters past the
-    # leaf's length are masked out.  One float is shared per composition.
+    # leaf's length are masked out.
     letters = np.empty((len(leaf_code), max_rounds + 1), dtype=np.uint8)
     letters[:, max_rounds] = ord("\n")
     for j in reversed(range(max_rounds)):
-        leaf_code, d = np.divmod(leaf_code, 3)
-        letters[:, j] = np.frombuffer(b"MXZ", dtype=np.uint8)[d]
+        leaf_code, rem = np.divmod(leaf_code, 3)
+        letters[:, j] = np.frombuffer(b"MXZ", dtype=np.uint8)[rem]
     keep = np.arange(max_rounds + 1, dtype=np.int32) < (comp >> 8)[:, None]
     keep[:, max_rounds] = True
     seqs = letters[keep].tobytes().decode("ascii").split("\n")
     seqs.pop()  # the empty string after the last newline
     del letters, keep, leaf_code
-    value = {c: float(prob[key] / total) for c, key in zip(comps.tolist(), tally)}
+    # One float per composition, shared by its leaves through an object
+    # array indexed by the packed composition.
+    value = np.empty((max_rounds + 1) << 8, dtype=object)
+    for (n, c_z, c_x), m in mass.items():
+        value[(n * 16 + c_z) * 16 + c_x] = m / total
     return BiasReport(
         rule=rule,
         n_rounds_enumerated=max_rounds,
-        t_distribution=dict(zip(seqs, map(value.__getitem__, comp.tolist()))),
+        t_distribution=dict(zip(seqs, value[comp].tolist())),
         tv_from_uniform=float(tv / total),
-        dependence_detected=rate_test != rate_code,
-        terminating_mass=float(total),
-        test_error_rate=float(rate_test),
-        code_error_rate=float(rate_code),
+        dependence_detected=err_test * mass_code != err_code * mass_test,
+        terminating_mass=total / d**max_rounds,
+        test_error_rate=err_test / mass_test,
+        code_error_rate=err_code / mass_code,
     )

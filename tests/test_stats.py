@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qkd_sift import protocol
@@ -355,6 +355,20 @@ def test_enumeration_guards():
         enumerate_bias(CountPerBasis(1, 1), (1.0, 1.0), 6)
 
 
+
+@pytest.mark.parametrize(
+    "p_bases", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)], ids=["nan", "inf", "-inf"]
+)
+def test_enumeration_rejects_non_finite_probabilities(p_bases):
+    with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+        enumerate_bias(CountPerBasis(1, 1), p_bases, 4)
+
+
+@pytest.mark.parametrize("max_rounds", [3.0, True, "3"], ids=["float", "bool", "str"])
+def test_enumeration_rejects_a_max_rounds_that_is_not_an_int(max_rounds):
+    with pytest.raises(DomainError, match="max_rounds must be an int"):
+        enumerate_bias(CountDetected(1), (0.5, 0.5), max_rounds)
+
 def _brute_force(rule, p_bases, max_rounds):
     """Flat re-derivation: loop over all letter sequences, no tree pruning."""
     p_z_a, p_z_b = (Fraction(p) for p in p_bases)
@@ -473,6 +487,35 @@ def test_enumeration_equals_the_depth_first_walk_at_benchmark_scale(rule, p_base
     assert rep == want
     assert list(rep.t_distribution.items()) == list(want.t_distribution.items())
 
+
+
+# 0.3 and 0.65 are not dyadic: their Fractions have denominators of 2**54 and
+# 2**53, so the common denominator of the letter probabilities is large.
+_P_BASIS = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.65, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100)
+@given(
+    st.one_of(
+        st.tuples(st.just("count_detected"), st.integers(1, 4)),
+        st.tuples(st.just("count_per_basis"), st.integers(1, 4), st.integers(1, 4)),
+    ),
+    st.tuples(_P_BASIS, _P_BASIS),
+    st.integers(1, 7),
+)
+def test_enumeration_equals_the_sequence_walk_for_any_probabilities(plain_rule, p_bases, k):
+    """Every field and the key order of t_distribution, for drawn rules and p_bases."""
+    assume(plain_rule[0] == "count_per_basis" or plain_rule[1] <= k)
+    rule = (CountDetected if plain_rule[0] == "count_detected" else CountPerBasis)(*plain_rule[1:])
+    try:
+        want = oracles.enumerate_bias_reference(plain_rule, p_bases, k)
+    except ValueError as exc:
+        with pytest.raises(DomainError, match=str(exc)):
+            enumerate_bias(rule, p_bases, k)
+        return
+    rep = enumerate_bias(rule, p_bases, k)
+    assert dataclasses.asdict(rep) == {"rule": dataclasses.asdict(rule), **want}
+    assert list(rep.t_distribution.items()) == list(want["t_distribution"].items())
 
 @settings(max_examples=25)
 @given(
