@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Callable, Literal, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .quantum_core import Basis, ChannelOp, RandomStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -166,8 +166,8 @@ class AdaptiveBasisTracker:
     bias_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
+        if not is_int(self.window) or self.window < 1:
+            raise ConfigError(f"window must be an integer >= 1, got {self.window!r}")
         if self.bias_gain < 0.0:
             raise ConfigError(f"bias_gain must be >= 0, got {self.bias_gain}")
 

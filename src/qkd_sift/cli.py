@@ -41,6 +41,7 @@ from .errors import (
     QkdSiftError,
     SecurityParameterError,
     ValidationError,
+    is_int,
 )
 from .protocol import (
     CountDetected,
@@ -63,6 +64,7 @@ SCHEMA_TAG = "qkd-sift/v1"
 
 MODES = ("actual", "virtual", "estimation", "coverage", "bias", "keyrate-sweep")
 SWEEP_AXES = ("n_det_ter", "delta", "depolarizing_p", "q_ratio")
+_FLOAT_MAX = sys.float_info.max  # a larger int would overflow float()
 
 _PARAM_FIELDS = (
     "p_z_a",
@@ -93,6 +95,9 @@ class SweepSpec:
             )
         if not self.values:
             raise ValidationError("sweep values must be non-empty")
+        for v in self.values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _FLOAT_MAX:
+                raise ValidationError(f"sweep values must be finite real numbers, got {v!r}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValidationError("sweep values must be strictly increasing")
 
@@ -116,9 +121,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not is_int(self.trials) or self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned, got {self.seed!r}")
         if self.output_format not in ("json", "csv"):
             raise ValidationError(
@@ -126,7 +131,7 @@ class RunConfig:
             )
         if not 0.0 < self.eta_det <= 1.0:
             raise ValidationError(f"eta_det must be in (0, 1], got {self.eta_det!r}")
-        if not isinstance(self.bias_max_rounds, int) or self.bias_max_rounds < 1:
+        if not is_int(self.bias_max_rounds) or self.bias_max_rounds < 1:
             raise ValidationError(
                 f"bias_max_rounds must be a positive integer, got {self.bias_max_rounds!r}"
             )
@@ -271,6 +276,13 @@ def _reject_constant(token: str) -> None:
     raise ParseError(f"{token} is not a JSON number")
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ParseError(f"{token} overflows a float")
+    return value
+
+
 def load_config(path: str) -> RunConfig:
     """Read and validate a JSON config file."""
     try:
@@ -278,7 +290,7 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise IoError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"

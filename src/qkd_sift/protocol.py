@@ -64,6 +64,7 @@ from .errors import (
     MaxRoundsExceeded,
     NormalizationError,
     ValidationError,
+    is_int,
 )
 from .quantum_core import (
     Basis,
@@ -117,7 +118,7 @@ class ProtocolParams:
             raise ValidationError("basis probabilities of A must sum to 1 within 1e-12")
         if abs(self.p_z_b + self.p_x_b - 1.0) > 1e-12:
             raise ValidationError("basis probabilities of B must sum to 1 within 1e-12")
-        if not isinstance(self.n_det_ter, int) or self.n_det_ter < 1:
+        if not is_int(self.n_det_ter) or self.n_det_ter < 1:
             raise ValidationError(f"n_det_ter must be a positive integer, got {self.n_det_ter!r}")
         for name in ("eps_s", "eps_c"):
             v = getattr(self, name)
@@ -129,11 +130,11 @@ class ProtocolParams:
             raise ValidationError(f"f_ec must be finite and >= 1, got {self.f_ec!r}")
         if self.max_rounds is None:
             object.__setattr__(self, "max_rounds", 1000 * self.n_det_ter)
-        if not isinstance(self.max_rounds, int) or self.max_rounds < self.n_det_ter:
+        if not is_int(self.max_rounds) or self.max_rounds < self.n_det_ter:
             raise ValidationError(
                 f"max_rounds must be an integer >= n_det_ter, got {self.max_rounds!r}"
             )
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
+        if not is_int(self.batch_size) or self.batch_size < 1:
             raise ValidationError(f"batch_size must be a positive integer, got {self.batch_size!r}")
 
     @property
@@ -153,8 +154,8 @@ class CountDetected:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"detection target must be >= 1, got {self.n}")
+        if not is_int(self.n) or self.n < 1:
+            raise ValidationError(f"detection target must be an integer >= 1, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -170,9 +171,9 @@ class CountPerBasis:
     n_x_req: int
 
     def __post_init__(self) -> None:
-        if self.n_z_req < 1 or self.n_x_req < 1:
+        if not all(is_int(n) and n >= 1 for n in (self.n_z_req, self.n_x_req)):
             raise ValidationError(
-                f"per-basis quotas must be >= 1, got ({self.n_z_req}, {self.n_x_req})"
+                f"per-basis quotas must be integers >= 1, got ({self.n_z_req!r}, {self.n_x_req!r})"
             )
 
 
@@ -1481,22 +1482,15 @@ def transcript_to_json(transcript: Transcript) -> dict:
     }
 
 
-def transcript_rounds_to_json(transcript: Transcript, depth: int) -> str:
-    """The ``rounds`` array of :func:`transcript_to_json` as JSON text.
-
-    The text is what ``json.dumps(..., indent=2)`` writes for that array when
-    it sits at nesting depth ``depth`` (the value of a key whose line is
-    indented by ``2 * depth`` spaces), but it is built from the columns without
-    the per-round lists.
-    """
-    return "".join(transcript_rounds_parts(transcript, depth))
-
-
 def transcript_rounds_parts(transcript: Transcript, depth: int) -> list[str]:
-    """The text of :func:`transcript_rounds_to_json` as a list of pieces.
+    """The ``rounds`` array of :func:`transcript_to_json` as JSON text, in pieces.
 
-    A caller that splices the array into a larger text joins these pieces
-    with the rest in one ``str.join``, so the array is never copied whole.
+    Joined, the pieces are what ``json.dumps(..., indent=2)`` writes for that
+    array when it sits at nesting depth ``depth`` (the value of a key whose
+    line is indented by ``2 * depth`` spaces), but they are built from the
+    columns without the per-round lists.  A caller that splices the array
+    into a larger text joins these pieces with the rest in one ``str.join``,
+    so the array is never copied whole.
     A round's row depends only on its index and on the 3-bit code
     (detected, basis_b, basis_a).  Each round contributes two pieces: the
     digits of its index above the last two, then an entry of an 800-entry

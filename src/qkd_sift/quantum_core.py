@@ -13,6 +13,12 @@ with exact dyadic entries (0.5 instead of squared 1/sqrt(2) components), so
 quantities that vanish analytically — e.g. the phase-error weight of a clean
 pair state — vanish *exactly* in floating point as well.  The statistics
 layer depends on that exactness.
+
+The module keeps no caches.  Each derived operator (the Kraus operators
+lifted to the pair, the detection filter, Bob's conditional elements and the
+phase-error effect) is built inside the one function that reads it.  The
+protocol layer calls these functions only while building a round law, and it
+caches each law per (POVM, op) value.
 """
 
 from __future__ import annotations
@@ -20,8 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple, TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -96,33 +101,24 @@ def _tr_product(a: Matrix, b: Matrix) -> float:
     return float(np.einsum("ij,ji->", a, b).real)
 
 
-def _check_density(m: Matrix, dim: int, what: str) -> None:
-    if m.shape != (dim, dim):
-        raise DomainError(f"{what}: expected {dim}x{dim} matrix, got {m.shape}")
-    if not np.abs(m - m.conj().T).max() <= HERMITIAN_ATOL:
-        raise DomainError(f"{what}: not Hermitian within {HERMITIAN_ATOL}")
-    eigs = np.linalg.eigvalsh(m)
-    if not eigs.min() >= -PSD_EIG_ATOL:
-        raise DomainError(f"{what}: negative eigenvalue {eigs.min():.3e}")
-    tr = float(m.trace().real)
-    if not -PSD_EIG_ATOL <= tr <= 1.0 + TRACE_MAX_ATOL:
-        raise DomainError(f"{what}: trace {tr!r} outside [0, 1]")
+_D = TypeVar("_D", bound="_Density")
 
 
 @dataclass(frozen=True)
-class Density2:
-    """Single-qubit density matrix; may be sub-normalized after a Kraus branch."""
+class _Density:
+    """Density matrix of dimension ``dim``; may be sub-normalized after a Kraus branch."""
 
     mat: Matrix
+    dim: ClassVar[int]
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Density2":
+    def from_matrix(cls: type[_D], m: np.ndarray) -> _D:
         m = np.asarray(m, dtype=np.complex128)
-        _check_density(m, 2, "Density2")
+        cls._check(m)
         return cls(_freeze(m))
 
     @classmethod
-    def _wrap(cls, m: np.ndarray) -> "Density2":
+    def _wrap(cls: type[_D], m: np.ndarray) -> _D:
         """Wrap without validation; for outputs of operations that preserve it."""
         return cls(_freeze(m))
 
@@ -131,31 +127,33 @@ class Density2:
         return float(self.mat.trace().real)
 
     def validate(self) -> None:
-        _check_density(self.mat, 2, "Density2")
+        self._check(self.mat)
+
+    @classmethod
+    def _check(cls, m: Matrix) -> None:
+        dim, what = cls.dim, cls.__name__
+        if m.shape != (dim, dim):
+            raise DomainError(f"{what}: expected {dim}x{dim} matrix, got {m.shape}")
+        if not np.abs(m - m.conj().T).max() <= HERMITIAN_ATOL:
+            raise DomainError(f"{what}: not Hermitian within {HERMITIAN_ATOL}")
+        eigs = np.linalg.eigvalsh(m)
+        if not eigs.min() >= -PSD_EIG_ATOL:
+            raise DomainError(f"{what}: negative eigenvalue {eigs.min():.3e}")
+        tr = float(m.trace().real)
+        if not -PSD_EIG_ATOL <= tr <= 1.0 + TRACE_MAX_ATOL:
+            raise DomainError(f"{what}: trace {tr!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class Density4:
+class Density2(_Density):
+    """Single-qubit density matrix."""
+
+    dim = 2
+
+
+class Density4(_Density):
     """Density matrix of the pair A ⊗ B (A = Alice's qubit, B = Bob's)."""
 
-    mat: Matrix
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Density4":
-        m = np.asarray(m, dtype=np.complex128)
-        _check_density(m, 4, "Density4")
-        return cls(_freeze(m))
-
-    @classmethod
-    def _wrap(cls, m: np.ndarray) -> "Density4":
-        return cls(_freeze(m))
-
-    @property
-    def trace(self) -> float:
-        return float(self.mat.trace().real)
-
-    def validate(self) -> None:
-        _check_density(self.mat, 4, "Density4")
+    dim = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,15 +191,6 @@ class ChannelOp(_ValueKeyed):
             )
         key = (tuple(k.tobytes() for k in deliver), tuple(k.tobytes() for k in lose))
         object.__setattr__(self, "_key", key)
-
-    @cached_property
-    def deliver_kraus_4(self) -> tuple[Matrix, ...]:
-        """Kraus operators lifted to the pair, acting as identity on A."""
-        return tuple(_freeze(np.kron(_I2, k)) for k in self.deliver_kraus)
-
-    @cached_property
-    def lose_kraus_4(self) -> tuple[Matrix, ...]:
-        return tuple(_freeze(np.kron(_I2, k)) for k in self.lose_kraus)
 
 
 def _psd_sqrt(m: Matrix) -> Matrix:
@@ -275,66 +264,17 @@ class BobPOVM(_ValueKeyed):
             return self.m0z if bit == 0 else self.m1z
         return self.m0x if bit == 0 else self.m1x
 
-    @cached_property
-    def detect_total(self) -> Matrix:
-        """I - m_fail, the total detection effect."""
-        return _freeze(_I2 - self.m_fail)
 
-    @cached_property
-    def kraus_detect(self) -> Matrix:
-        """Kraus operator of the detection branch of the filter, sqrt(I - m_fail)."""
-        return _freeze(_psd_sqrt(self.detect_total))
+def _conditional_elements(povm: BobPOVM, basis: Basis) -> tuple[Matrix, Matrix]:
+    """Bob's two bit elements of ``basis`` conditioned on detection.
 
-    @cached_property
-    def kraus_fail(self) -> Matrix:
-        return _freeze(_psd_sqrt(np.asarray(self.m_fail)))
-
-    @cached_property
-    def conditional_elements(self) -> dict[tuple[int, Basis], Matrix]:
-        """Bit-valued POVM conditioned on detection.
-
-        W M_{b,basis} W with W = (I - m_fail)^{-1/2} (pseudo-inverse on the
-        detected support); for each basis the two elements sum to the identity
-        on that support, so applying them to a post-filter state reproduces
-        Tr(M_{b,basis} rho) / Tr((I - m_fail) rho).
-        """
-        w = _psd_pinv_sqrt(self.detect_total)
-        out: dict[tuple[int, Basis], Matrix] = {}
-        for basis in Basis:
-            for bit in (0, 1):
-                out[(bit, basis)] = _freeze(w @ self.element(bit, basis) @ w)
-        return out
-
-    @cached_property
-    def pi_err_x(self) -> Matrix:
-        """Pair effect flagging anticorrelated X outcomes on a detected pair.
-
-        kron(P0x, M'_{x,1}) + kron(P1x, M'_{x,0}) with the conditional (post-
-        detection) elements M' on Bob's side.
-        """
-        cond = self.conditional_elements
-        return _freeze(
-            np.kron(PROJECTOR[(0, Basis.X)], cond[(1, Basis.X)])
-            + np.kron(PROJECTOR[(1, Basis.X)], cond[(0, Basis.X)])
-        )
-
-    @cached_property
-    def _pair_effects(self) -> dict[tuple[Basis, Basis], np.ndarray]:
-        """(basis_a, basis_b) -> (2, 2, 4, 4) array of pair effects, lazily filled."""
-        return {}
-
-    def pair_effects(self, basis_a: Basis, basis_b: Basis) -> np.ndarray:
-        cache = self._pair_effects
-        key = (basis_a, basis_b)
-        if key not in cache:
-            cond = self.conditional_elements
-            block = np.empty((2, 2, 4, 4), dtype=np.complex128)
-            for a in (0, 1):
-                for b in (0, 1):
-                    block[a, b] = np.kron(PROJECTOR[(a, basis_a)], cond[(b, basis_b)])
-            block.setflags(write=False)
-            cache[key] = block
-        return cache[key]
+    W M_{b,basis} W with W = (I - m_fail)^{-1/2} (pseudo-inverse on the
+    detected support); the two elements sum to the identity on that support,
+    so applying them to a post-filter state reproduces
+    Tr(M_{b,basis} rho) / Tr((I - m_fail) rho).
+    """
+    w = _psd_pinv_sqrt(_I2 - povm.m_fail)
+    return w @ povm.element(0, basis) @ w, w @ povm.element(1, basis) @ w
 
 
 def detection_povm(eta_det: float = 1.0) -> BobPOVM:
@@ -404,8 +344,8 @@ def channel_branches(rho: Density4, ch: ChannelOp) -> BranchSplit:
     probability below :data:`BRANCH_EPS` gets state ``None``.
     """
     m = rho.mat
-    p_del, rho_del = _branch_apply(m, ch.deliver_kraus_4)
-    p_lose, raw_lose = _branch_apply(m, ch.lose_kraus_4)
+    p_del, rho_del = _branch_apply(m, tuple(np.kron(_I2, k) for k in ch.deliver_kraus))
+    p_lose, raw_lose = _branch_apply(m, tuple(np.kron(_I2, k) for k in ch.lose_kraus))
     out_del = Density4._wrap(rho_del / p_del) if p_del >= BRANCH_EPS else None
     out_lose = None
     if p_lose >= BRANCH_EPS:
@@ -426,8 +366,8 @@ def _branch_apply(m: Matrix, kraus: tuple[Matrix, ...]) -> tuple[float, Matrix]:
 def filter_branches(rho: Density4, povm: BobPOVM) -> BranchSplit:
     """Detection filter {sqrt(I - m_fail), sqrt(m_fail)} applied on side B."""
     m = rho.mat
-    kd = np.kron(_I2, povm.kraus_detect)
-    kf = np.kron(_I2, povm.kraus_fail)
+    kd = np.kron(_I2, _psd_sqrt(_I2 - povm.m_fail))
+    kf = np.kron(_I2, _psd_sqrt(povm.m_fail))
     det_raw = kd @ m @ kd.conj().T
     fail_raw = kf @ m @ kf.conj().T
     p_det = float(det_raw.trace().real)
@@ -445,22 +385,25 @@ def pair_outcome_probs(
     Alice measures with projectors of ``basis_a``; Bob with the POVM's
     conditional (post-detection) elements of ``basis_b``.  Shape (2, 2).
     """
-    effects = povm.pair_effects(basis_a, basis_b)
-    m = rho.mat
-    probs = np.einsum("abij,ji->ab", effects, m).real
-    return probs
+    cond = _conditional_elements(povm, basis_b)
+    effects = np.array([[np.kron(PROJECTOR[(a, basis_a)], c) for c in cond] for a in (0, 1)])
+    return np.einsum("abij,ji->ab", effects, rho.mat).real
 
 
 def prob_phase_error(rho: Density4, povm: BobPOVM) -> float:
     """Probability that X measurements on the detected pair anticorrelate.
 
     The input must be a normalized conditional (post-detection) state.  The
-    value is Tr(rho @ pi_err_x), clipped of rounding dust into [0, 1].
+    value is Tr(rho @ pi_err_x), clipped of rounding dust into [0, 1], where
+    pi_err_x = kron(P0x, M'_{x,1}) + kron(P1x, M'_{x,0}) flags anticorrelated
+    X outcomes with Bob's conditional elements M'.
     """
     tr = rho.trace
     if not abs(tr - 1.0) <= NORMALIZATION_ATOL:
         raise NormalizationError(f"state trace {tr!r}, expected 1")
-    val = _tr_product(rho.mat, povm.pi_err_x)
+    m_x0, m_x1 = _conditional_elements(povm, Basis.X)
+    pi_err_x = np.kron(PROJECTOR[(0, Basis.X)], m_x1) + np.kron(PROJECTOR[(1, Basis.X)], m_x0)
+    val = _tr_product(rho.mat, pi_err_x)
     if val < 0.0:
         if val < -NORMALIZATION_ATOL:
             raise NormalizationError(f"phase-error weight {val!r} below 0")
@@ -499,5 +442,5 @@ def qubit_outcome_probs(
     return (
         _tr_product(povm.element(0, basis), m),
         _tr_product(povm.element(1, basis), m),
-        _tr_product(np.asarray(povm.m_fail), m),
+        _tr_product(povm.m_fail, m),
     )

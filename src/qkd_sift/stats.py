@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .adversary import EveStrategy
-from .errors import DomainError, EnumerationTooLarge, TraceInconsistent
+from .errors import DomainError, EnumerationTooLarge, TraceInconsistent, is_int
 from .quantum_core import BobPOVM
 from .protocol import (
     Basis,
@@ -323,7 +323,7 @@ def enumerate_bias(
     prefix's base-3 code, #Z and #X, lists the terminating sequences of
     ``t_distribution`` in lexicographic order with M < X < Z.
     """
-    if isinstance(max_rounds, bool) or not isinstance(max_rounds, int):
+    if not is_int(max_rounds):
         raise DomainError(f"max_rounds must be an int, got {max_rounds!r}")
     if max_rounds < 1:
         raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")

@@ -214,6 +214,9 @@ def test_config_validation():
         InterceptResend("sideways")
     with pytest.raises(ConfigError):
         AdaptiveBasisTracker(window=0)
+    for window in (2.5, True, "16"):  # 2.5 once failed at the first round
+        with pytest.raises(ConfigError, match="window"):
+            AdaptiveBasisTracker(window=window)
     with pytest.raises(ConfigError):
         AdaptiveBasisTracker(bias_gain=-1.0)
 

@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -122,6 +123,9 @@ def test_sweep_spec_validation():
         SweepSpec("delta", ())
     with pytest.raises(ValidationError, match="strictly increasing"):
         SweepSpec("delta", (0.2, 0.1))
+    for bad in ("0.01", True, None, math.inf, -math.inf, math.nan, 10**400):
+        with pytest.raises(ValidationError, match="finite real"):
+            SweepSpec("delta", (0.0, bad))
 
 
 def test_config_round_trips_through_dict_and_file(tmp_path):
@@ -470,16 +474,74 @@ def test_main_reports_config_errors_as_json(tmp_path, capsys):
     assert "rule" in err["error"]["message"]
 
 
-def test_main_rejects_a_non_finite_delta(tmp_path, capsys):
-    # Python's json module reads the NaN token; the schema allows only numbers.
-    text = json.dumps(dict(MINIMAL, mode="coverage", trials=2)).replace('"delta": 0.05', '"delta": NaN')
-    assert "NaN" in text
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+def test_main_rejects_a_non_finite_delta(tmp_path, capsys, token):
+    # Python's json module reads the NaN token and overflows 1e400 to inf; the
+    # schema allows only finite numbers.
+    text = json.dumps(dict(MINIMAL, mode="coverage", trials=2))
+    text = text.replace('"delta": 0.05', f'"delta": {token}')
+    assert token in text
     cfg_path = _write(tmp_path, text)
     assert main(["run", "--config", cfg_path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["schema"] == SCHEMA_TAG
     assert err["error"]["type"] == "ParseError"
-    assert "NaN" in err["error"]["message"]
+    assert token in err["error"]["message"]
+
+
+_BIAS = dict(MINIMAL, mode="bias", rule={"kind": "count_detected", "n": 2})
+_SWEEP = dict(MINIMAL, mode="keyrate-sweep", sweep={"axis": "n_det_ter", "values": [8, 16]})
+
+
+def _with(base, key, **fields):
+    return dict(base, **{key: {**base.get(key, {}), **fields}})
+
+
+# Each config once exited 0 with an artifact or died with a traceback.
+_MALFORMED = {
+    "n_det_ter-true": (_with(MINIMAL, "params", n_det_ter=True), "ValidationError"),
+    "n_det_ter-float": (_with(MINIMAL, "params", n_det_ter=16.0), "ValidationError"),
+    "max_rounds-true": (_with(MINIMAL, "params", max_rounds=True), "ValidationError"),
+    "batch_size-true": (_with(MINIMAL, "params", batch_size=True), "ValidationError"),
+    "trials-true": (dict(MINIMAL, trials=True), "ValidationError"),
+    "seed-false": (dict(MINIMAL, seed=False), "ValidationError"),
+    "bias_max_rounds-true": (dict(_BIAS, bias_max_rounds=True), "ValidationError"),
+    "count_detected-2.5": (_with(_BIAS, "rule", n=2.5), "ValidationError"),
+    "count_detected-true": (_with(_BIAS, "rule", n=True), "ValidationError"),
+    "count_per_basis-true": (
+        dict(_BIAS, rule={"kind": "count_per_basis", "n_z_req": True, "n_x_req": 1}),
+        "ValidationError",
+    ),
+    "count_per_basis-1.5": (
+        dict(_BIAS, rule={"kind": "count_per_basis", "n_z_req": 1, "n_x_req": 1.5}),
+        "ValidationError",
+    ),
+    "window-2.5": (
+        dict(MINIMAL, strategy={"kind": "adaptive_basis_tracker", "window": 2.5}),
+        "ParseError",
+    ),
+    "window-true": (
+        dict(MINIMAL, strategy={"kind": "adaptive_basis_tracker", "window": True}),
+        "ParseError",
+    ),
+    "sweep-strings": (
+        dict(_SWEEP, sweep={"axis": "delta", "values": ["0.01", "0.02"]}),
+        "ValidationError",
+    ),
+    "sweep-true": (_with(_SWEEP, "sweep", values=[True, 2]), "ValidationError"),
+    "sweep-1e400": (json.dumps(_SWEEP).replace("[8, 16]", "[1e400]"), "ParseError"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_main_refuses_a_malformed_number(tmp_path, capsys, case):
+    doc, error = _MALFORMED[case]
+    out = tmp_path / "out.json"
+    assert main(["run", "--config", _write(tmp_path, doc), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["schema"] == SCHEMA_TAG
+    assert err["error"]["type"] == error
+    assert not out.exists()
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -48,7 +48,7 @@ from qkd_sift.protocol import (
     run_insecure_termination,
     run_virtual,
     sifted_to_json,
-    transcript_rounds_to_json,
+    transcript_rounds_parts,
     transcript_to_json,
 )
 from qkd_sift.quantum_core import (
@@ -313,6 +313,21 @@ def test_count_per_basis_validation():
         CountPerBasis(0, 1)
     with pytest.raises(ValidationError):
         CountDetected(0)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 2.0, "2"], ids=repr)
+def test_integer_fields_refuse_bools_and_non_integers(bad):
+    # isinstance(True, int) holds, so a JSON true once passed as the count 1.
+    for make in (
+        lambda: _params(n=bad),
+        lambda: _params(max_rounds=bad),
+        lambda: _params(batch_size=bad),
+        lambda: CountDetected(bad),
+        lambda: CountPerBasis(bad, 1),
+        lambda: CountPerBasis(1, bad),
+    ):
+        with pytest.raises(ValidationError):
+            make()
 
 
 def test_insecure_entry_point_requires_per_basis_rule():
@@ -911,7 +926,7 @@ def test_rounds_writer_matches_json_dumps(name):
     transcript = _WRITER_TRANSCRIPTS[name]
     text = json.dumps(transcript_to_json(transcript), indent=2)
     start = text.index('"rounds": ') + len('"rounds": ')
-    assert text[start:-2] == transcript_rounds_to_json(transcript, 1)
+    assert text[start:-2] == "".join(transcript_rounds_parts(transcript, 1))
     assert text.endswith("\n}")
     rounds = transcript_to_json(transcript)["rounds"]
     for depth in range(6):
@@ -921,7 +936,7 @@ def test_rounds_writer_matches_json_dumps(name):
         opened = "".join("[\n" + "  " * (k + 1) for k in range(depth))
         closed = "".join("\n" + "  " * k + "]" for k in reversed(range(depth)))
         assert json.dumps(nested, indent=2) == (
-            opened + transcript_rounds_to_json(transcript, depth) + closed
+            opened + "".join(transcript_rounds_parts(transcript, depth)) + closed
         )
 
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qkd_sift.adversary import Depolarizing, make_strategy
+from qkd_sift.adversary import Depolarizing, depolarizing_channel, make_strategy
 from qkd_sift.errors import DomainError, NormalizationError
+from qkd_sift.protocol import _virtual_law
 from qkd_sift.quantum_core import (
     Basis,
     BobPOVM,
@@ -369,3 +370,102 @@ def test_phase_error_agrees_with_conditional_projector_oracle():
     rho = Density4.from_matrix(m / np.trace(m).real)
     expect = float(np.trace(rho.mat @ pi_err).real)
     assert prob_phase_error(rho, povm) == pytest.approx(expect, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# A detector whose failure element is not diagonal
+
+# m_fail = U diag(0.1, 0.35) U^dag, so the filter's square roots and the
+# conditional elements take the eigendecomposition branch.  The bit elements
+# are S P S with S = (I - m_fail)^(1/2), written from U, so the conditional
+# elements W (S P S) W with W = S^-1 are the projectors P themselves.
+_FAIL_EIGS = np.array([0.1, 0.35])
+_U = _random_unitary(np.random.default_rng(11))
+_S = (_U * np.sqrt(1.0 - _FAIL_EIGS)) @ _U.conj().T
+
+
+def _alice(basis, bit):
+    return oracles._proj(oracles.SOURCE_KETS[(basis.name, bit)])
+
+
+def _bob(basis, bit):
+    return _S @ _alice(basis, bit) @ _S
+
+
+_SKEWED = BobPOVM(
+    m0z=_bob(Basis.Z, 0),
+    m1z=_bob(Basis.Z, 1),
+    m0x=_bob(Basis.X, 0),
+    m1x=_bob(Basis.X, 1),
+    m_fail=(_U * _FAIL_EIGS) @ _U.conj().T,
+)
+
+
+_SKEWED_OPS = {
+    "identity": IDENTITY,
+    "depolarizing": depolarizing_channel(0.2, 0.3),
+    "random-kraus-0": _random_kraus_pair(np.random.default_rng(0)),
+    "random-kraus-1": _random_kraus_pair(np.random.default_rng(1)),
+}
+
+
+def _delivered(name):
+    return channel_branches(bell_pair(), _SKEWED_OPS[name]).rho_first.mat
+
+
+def test_skewed_failure_element_is_not_diagonal():
+    assert abs(_SKEWED.m_fail[0, 1]) > 0.01
+    assert np.allclose(np.linalg.eigvalsh(_SKEWED.m_fail), _FAIL_EIGS, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", _SKEWED_OPS)
+def test_filter_with_skewed_failure_matches_longhand(name):
+    rho = _delivered(name)
+    kd = np.kron(I2, _S)
+    kf = np.kron(I2, (_U * np.sqrt(_FAIL_EIGS)) @ _U.conj().T)
+    det, fail = kd @ rho @ kd.conj().T, kf @ rho @ kf.conj().T
+    split = filter_branches(Density4.from_matrix(rho), _SKEWED)
+    # Pr[detect] = Tr((I - m_fail) rho) on B, whatever the basis.
+    p_det = float(np.trace(np.kron(I2, I2 - _SKEWED.m_fail) @ rho).real)
+    assert split.p_first == pytest.approx(p_det, abs=1e-12)
+    assert split.p_second == pytest.approx(np.trace(fail).real, abs=1e-12)
+    assert np.allclose(split.rho_first.mat, det / p_det, atol=1e-12)
+    assert np.allclose(split.rho_second.mat, fail / np.trace(fail).real, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", _SKEWED_OPS)
+def test_readout_with_skewed_failure_matches_longhand(name):
+    """On the detected pair, Bob's readout is Tr((P_a ⊗ M_b) rho) / Pr[detect]."""
+    rho = _delivered(name)
+    split = filter_branches(Density4.from_matrix(rho), _SKEWED)
+    for ba in Basis:
+        for bb in Basis:
+            probs = pair_outcome_probs(split.rho_first, ba, bb, _SKEWED)
+            for a in (0, 1):
+                for b in (0, 1):
+                    effect = np.kron(_alice(ba, a), _bob(bb, b))
+                    expect = np.trace(effect @ rho).real / split.p_first
+                    assert probs[a, b] == pytest.approx(expect, abs=1e-12)
+    anti = np.kron(_alice(Basis.X, 0), _bob(Basis.X, 1)) + np.kron(
+        _alice(Basis.X, 1), _bob(Basis.X, 0)
+    )
+    expect = np.trace(anti @ rho).real / split.p_first
+    assert prob_phase_error(split.rho_first, _SKEWED) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", _SKEWED_OPS)
+def test_virtual_law_with_skewed_failure_matches_longhand(name):
+    op = _SKEWED_OPS[name]
+    rho = _delivered(name)
+    law = _virtual_law(_SKEWED, op)
+    p_det = float(np.trace(np.kron(I2, I2 - _SKEWED.m_fail) @ rho).real)
+    assert law.p_deliver == pytest.approx(channel_branches(bell_pair(), op).p_first, abs=1e-12)
+    assert law.p_detect == pytest.approx(p_det, abs=1e-12)
+    for basis, cum in ((Basis.Z, law.zz_cum), (Basis.X, law.xx_cum)):
+        joint = [
+            np.trace(np.kron(_alice(basis, a), _bob(basis, b)) @ rho).real / p_det
+            for a in (0, 1)
+            for b in (0, 1)
+        ]
+        assert cum == pytest.approx(tuple(np.cumsum(joint)[:3]), abs=1e-12)
+    assert law.t_phase == pytest.approx(joint[1] + joint[2], abs=1e-12)
