@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Callable, Literal, Union
 
 import numpy as np
 
-from .errors import ConfigError, is_int
+from .errors import ConfigError, is_int, is_real
 from .quantum_core import Basis, ChannelOp, RandomStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -108,7 +108,7 @@ def dephasing_channel(basis: Basis) -> ChannelOp:
 
 
 def _check_prob(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
+    if not (is_real(value) and 0.0 <= value <= 1.0):
         raise ConfigError(f"{name} must be a probability in [0, 1], got {value!r}")
 
 
@@ -168,8 +168,8 @@ class AdaptiveBasisTracker:
     def __post_init__(self) -> None:
         if not is_int(self.window) or self.window < 1:
             raise ConfigError(f"window must be an integer >= 1, got {self.window!r}")
-        if self.bias_gain < 0.0:
-            raise ConfigError(f"bias_gain must be >= 0, got {self.bias_gain}")
+        if not (is_real(self.bias_gain) and self.bias_gain >= 0.0):
+            raise ConfigError(f"bias_gain must be a number >= 0, got {self.bias_gain!r}")
 
 
 StrategyConfig = Union[IdentityLossy, Depolarizing, InterceptResend, AdaptiveBasisTracker]

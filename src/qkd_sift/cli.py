@@ -42,6 +42,7 @@ from .errors import (
     SecurityParameterError,
     ValidationError,
     is_int,
+    is_real,
 )
 from .protocol import (
     CountDetected,
@@ -96,7 +97,7 @@ class SweepSpec:
         if not self.values:
             raise ValidationError("sweep values must be non-empty")
         for v in self.values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _FLOAT_MAX:
+            if not (is_real(v) and abs(v) <= _FLOAT_MAX):
                 raise ValidationError(f"sweep values must be finite real numbers, got {v!r}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValidationError("sweep values must be strictly increasing")
@@ -129,7 +130,7 @@ class RunConfig:
             raise ValidationError(
                 f"output_format must be 'json' or 'csv', got {self.output_format!r}"
             )
-        if not 0.0 < self.eta_det <= 1.0:
+        if not (is_real(self.eta_det) and 0.0 < self.eta_det <= 1.0):
             raise ValidationError(f"eta_det must be in (0, 1], got {self.eta_det!r}")
         if not is_int(self.bias_max_rounds) or self.bias_max_rounds < 1:
             raise ValidationError(
@@ -210,10 +211,10 @@ def config_from_dict(doc: dict) -> RunConfig:
         if key not in _PARAM_FIELDS:
             raise ParseError(f"unknown field {key!r} in params")
     p = dict(raw_params)
-    if "p_x_a" not in p and "p_z_a" in p:
-        p["p_x_a"] = 1.0 - p["p_z_a"]
-    if "p_x_b" not in p and "p_z_b" in p:
-        p["p_x_b"] = 1.0 - p["p_z_b"]
+    for z, x in (("p_z_a", "p_x_a"), ("p_z_b", "p_x_b")):
+        if x not in p and z in p:
+            # ProtocolParams refuses a p_z that is no number before it reads p_x.
+            p[x] = 1.0 - p[z] if is_real(p[z]) else None
     try:
         params = ProtocolParams(**p)
     except TypeError as exc:
@@ -287,7 +288,9 @@ def load_config(path: str) -> RunConfig:
     """Read and validate a JSON config file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoError(f"cannot read config {path!r}: {exc}") from exc
     try:
         doc = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
@@ -340,7 +343,7 @@ def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
         lam_ph, lam_xerr, sum_ph, sum_xerr, n_z, n_x = stats.estimation_counts(run)
         return {
             "trial": i,
-            "n_detected": len(run.per_round),
+            "n_detected": run.transcript.n_detected,
             "n_z": n_z,
             "n_x": n_x,
             "lambda_ph": lam_ph,
@@ -577,7 +580,7 @@ def emit_report(
                 f.write(text[start : start + _WRITE_CHUNK])
             if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
                 f.truncate()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoError(f"cannot write report {path!r}: {exc}") from exc
 
 
@@ -675,8 +678,8 @@ def _verify_checks() -> list[tuple[str, Callable[[], None]]]:
                 raise AssertionError("centered process does not start at 0")
             if len(trace.x_ph) != uniform.n_det_ter + 1:
                 raise AssertionError("trace length wrong")
-            for rec in run_.per_round:
-                if abs(rec.p_ph / uniform.q_z - rec.p_xerr / uniform.q_x) > 1e-12:
+            for t in run_.t_phase:
+                if abs(uniform.q_z * t / uniform.q_z - uniform.q_x * t / uniform.q_x) > 1e-12:
                     raise AssertionError("scaled error-probability identity broken")
 
     def check_bias() -> None:
@@ -776,7 +779,7 @@ def run_bias_demo(out: str | None) -> int:
         }
         try:
             Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise IoError(f"cannot write report {out!r}: {exc}") from exc
     return 0
 

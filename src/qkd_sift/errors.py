@@ -4,8 +4,8 @@ Everything raised on purpose derives from :class:`QkdSiftError` so callers can
 catch the package's failures with a single except clause.  Aborts of the key
 distillation (too-short key, failed verification, missing test data) share the
 :class:`ProtocolAbort` base because they are outcomes of an honest run rather
-than programming errors.  :func:`is_int` is the integer check that the
-validations raising them share.
+than programming errors.  :func:`is_int` and :func:`is_real` are the number
+checks that the validations raising them share.
 """
 
 from __future__ import annotations
@@ -103,3 +103,8 @@ class IoError(QkdSiftError, OSError):
 def is_int(value: object) -> bool:
     """True for an ``int`` that is not a ``bool``, so JSON ``true`` is no count."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value: object) -> bool:
+    """True for an ``int`` or ``float`` that is not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

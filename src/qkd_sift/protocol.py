@@ -11,8 +11,8 @@ Three executable pictures share one round loop, :func:`_session`:
   prepare-and-measure variant, so the two are indistinguishable from the
   channel.
 * :func:`run_estimation` — the bookkeeping variant: every detected pair is
-  measured in X immediately, while the per-round phase/X-error probabilities
-  of the conditional state are recorded for the martingale analysis.
+  measured in X immediately, while the phase-error weights of the conditional
+  states are kept, in columns, for the martingale analysis.
 
 Termination counts *detected* rounds, matched or mismatched bases alike, and
 detection probability is basis-independent by POVM construction, so the
@@ -49,6 +49,7 @@ import functools
 import math
 import operator
 import random
+from array import array
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,6 +66,7 @@ from .errors import (
     NormalizationError,
     ValidationError,
     is_int,
+    is_real,
 )
 from .quantum_core import (
     Basis,
@@ -112,7 +114,7 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         for name in ("p_z_a", "p_x_a", "p_z_b", "p_x_b"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if not (is_real(v) and 0.0 <= v <= 1.0):
                 raise ValidationError(f"{name} must be in [0, 1], got {v!r}")
         if abs(self.p_z_a + self.p_x_a - 1.0) > 1e-12:
             raise ValidationError("basis probabilities of A must sum to 1 within 1e-12")
@@ -122,11 +124,11 @@ class ProtocolParams:
             raise ValidationError(f"n_det_ter must be a positive integer, got {self.n_det_ter!r}")
         for name in ("eps_s", "eps_c"):
             v = getattr(self, name)
-            if not 0.0 < v < 1.0:
+            if not (is_real(v) and 0.0 < v < 1.0):
                 raise ValidationError(f"{name} must be in (0, 1), got {v!r}")
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+        if not (is_real(self.delta) and math.isfinite(self.delta) and self.delta >= 0.0):
             raise ValidationError(f"delta must be finite and >= 0, got {self.delta!r}")
-        if not (math.isfinite(self.f_ec) and self.f_ec >= 1.0):
+        if not (is_real(self.f_ec) and math.isfinite(self.f_ec) and self.f_ec >= 1.0):
             raise ValidationError(f"f_ec must be finite and >= 1, got {self.f_ec!r}")
         if self.max_rounds is None:
             object.__setattr__(self, "max_rounds", 1000 * self.n_det_ter)
@@ -300,9 +302,19 @@ class PerRound(NamedTuple):
     p_xerr: float
 
 
+_PAIRS = tuple((a, b) for a in _BASES for b in _BASES)  # by ``EstimationRun.pairs``
+_ZZ, _XX = _PAIRS.index((Basis.Z, Basis.Z)), _PAIRS.index((Basis.X, Basis.X))
+
+
 @dataclass(frozen=True)
 class EstimationRun:
     """Output of :func:`run_estimation`.
+
+    The detected rounds are kept in columns, one entry each: ``pairs`` holds
+    2 * (Alice's basis) + (Bob's basis) as ``Basis.value``, ``readouts``
+    2 * x_a + x_b for the immediate X outcomes, and ``laws`` an index into
+    ``t_phase``, the run's phase-error weights t; p_ph = q_z * t and p_xerr =
+    q_x * t.  ``per_round`` builds the :class:`PerRound` records on access.
 
     ``lambda_ph`` counts detected rounds where both sides announced Z and the
     immediate X measurements disagreed; ``lambda_xerr`` the same for X-basis
@@ -311,11 +323,23 @@ class EstimationRun:
     """
 
     transcript: Transcript
-    per_round: list[PerRound]
+    pairs: bytearray
+    readouts: bytearray
+    laws: array
+    t_phase: tuple[float, ...]
     lambda_ph: int
     lambda_xerr: int
     s_az_vir: np.ndarray
     s_bz_vir: np.ndarray
+
+    @property
+    def per_round(self) -> list[PerRound]:
+        params = self.transcript.params
+        weights = [(params.q_z * t, params.q_x * t) for t in self.t_phase]
+        return [
+            PerRound(_PAIRS[pair], divmod(readout, 2), *weights[law])
+            for pair, readout, law in zip(self.pairs, self.readouts, self.laws)
+        ]
 
 
 @dataclass(frozen=True)
@@ -521,9 +545,9 @@ def run_estimation(
 ) -> EstimationRun:
     """Session in which every detected pair is measured in X immediately.
 
-    Each detected round records the announced bases, the X outcomes, and the
-    conditional probabilities p_ph = q_z * t and p_xerr = q_x * t, where t is
-    the phase-error weight of that round's post-detection state.  Both
+    Each detected round records the announced bases, the X outcomes, and t,
+    the phase-error weight of that round's post-detection state, which gives
+    its conditional probabilities p_ph = q_z * t and p_xerr = q_x * t.  Both
     probabilities come from the single trace evaluation t, so their ratio is
     q_z : q_x by construction.
     """
@@ -552,6 +576,7 @@ def _session(
     # The picture is tested once; the loop branches on plain local flags.
     actual = picture is _ACTUAL
     virtual = picture is _VIRTUAL
+    estimation = picture is _ESTIMATION
     law_of = _actual_law if actual else _virtual_law
     eve_rng = _eve_stream(rng)
     behavior = eve.behavior
@@ -560,12 +585,9 @@ def _session(
 
     p_z_a = params.p_z_a
     p_z_b = params.p_z_b
-    q_z = params.q_z
-    q_x = params.q_x
     batch = params.batch_size
     max_rounds = params.max_rounds
-    Z, X = Basis.Z, Basis.X
-    Z_VALUE, X_VALUE = Z.value, X.value
+    Z_VALUE, X_VALUE = Basis.Z.value, Basis.X.value
 
     # Stop once n_det >= det_target and both quotas fill; exactly one of the
     # two conditions is live for a given rule.
@@ -580,9 +602,8 @@ def _session(
     announce_basis_b = transcript.basis_b.append
     announce_basis_a = transcript.basis_a.append
     note_detected_basis_b = transcript.detected_basis_b.append
-    # Z- and X-agreed bits.  Actual: the sifted strings.  Estimation: az/bz
-    # hold the X readouts of the Z-agreed pairs.  Virtual: filled by the
-    # deferred readout of ``kept`` after the loop.
+    # Z- and X-agreed bits.  Actual: the sifted strings.  Virtual: filled by
+    # the deferred readout of ``kept`` after the loop.
     az: list[int] = []
     bz: list[int] = []
     ax: list[int] = []
@@ -590,9 +611,11 @@ def _session(
     # Virtual: (is_z_pair, cum3) per kept round, and the Z-agreed states.
     kept: list[tuple[bool, tuple[float, float, float]]] = []
     retained: list[Density4] = []
-    per_round: list[PerRound] = []
-    lambda_ph = 0
-    lambda_xerr = 0
+    # Estimation: the columns of EstimationRun, and each t_phase's index.
+    pairs = bytearray()
+    readouts = bytearray()
+    laws = array("I")
+    t_index: dict[float, int] = {}
     n_det = 0
     idx = 0
     # The last op and its law: most strategies return one op all session, so
@@ -612,6 +635,8 @@ def _session(
             if op is not last_op:
                 law = law_of(povm, op)
                 last_op = op
+                if estimation:
+                    law_code = t_index.setdefault(law.t_phase, len(t_index))
             if actual:
                 a_is_z = rand() < p_z_a
                 a_bit = getrandbits(1)
@@ -643,8 +668,9 @@ def _session(
             n_det += 1
             if not actual:
                 a_is_z = rand() < p_z_a
+            a_value = Z_VALUE if a_is_z else X_VALUE
             announce_detected(1)
-            announce_basis_a(Z_VALUE if a_is_z else X_VALUE)
+            announce_basis_a(a_value)
             note_detected_basis_b(b_value)
             if actual:
                 if a_is_z:
@@ -661,42 +687,27 @@ def _session(
                 elif not a_is_z and not b_is_z:
                     kept.append((False, law.xx_cum))
             else:
-                p_ph = q_z * law.t_phase
-                p_xerr = q_x * law.t_phase
                 cum = law.xx_cum
                 u = rand()
-                if u < cum[0]:
-                    xa, xb = 0, 0
-                elif u < cum[1]:
-                    xa, xb = 0, 1
-                elif u < cum[2]:
-                    xa, xb = 1, 0
-                else:
-                    xa, xb = 1, 1
-                if a_is_z:
-                    if b_is_z:
-                        if xa != xb:
-                            lambda_ph += 1
-                        az.append(xa)
-                        bz.append(xb)
-                        per_round.append(PerRound((Z, Z), (xa, xb), p_ph, p_xerr))
-                    else:
-                        per_round.append(PerRound((Z, X), (xa, xb), p_ph, p_xerr))
-                elif not b_is_z:
-                    if xa != xb:
-                        lambda_xerr += 1
-                    per_round.append(PerRound((X, X), (xa, xb), p_ph, p_xerr))
-                else:
-                    per_round.append(PerRound((X, Z), (xa, xb), p_ph, p_xerr))
+                readouts.append(0 if u < cum[0] else 1 if u < cum[1] else 2 if u < cum[2] else 3)
+                pairs.append(2 * a_value + b_value)
+                laws.append(law_code)
 
-    if picture is _ESTIMATION:
+    if estimation:
+        pair = np.frombuffer(pairs, dtype=np.uint8)
+        readout = np.frombuffer(readouts, dtype=np.uint8)
+        zz, xx = readout[pair == _ZZ], readout[pair == _XX]
         return EstimationRun(
             transcript=transcript,
-            per_round=per_round,
-            lambda_ph=lambda_ph,
-            lambda_xerr=lambda_xerr,
-            s_az_vir=np.array(az, dtype=np.uint8),
-            s_bz_vir=np.array(bz, dtype=np.uint8),
+            pairs=pairs,
+            readouts=readouts,
+            laws=laws,
+            t_phase=tuple(t_index),
+            # x_a != x_b exactly at the readouts 1 and 2.
+            lambda_ph=int(np.count_nonzero(zz % 3)),
+            lambda_xerr=int(np.count_nonzero(xx % 3)),
+            s_az_vir=zz >> 1,
+            s_bz_vir=zz & 1,
         )
 
     for is_z, cum in kept:  # the virtual picture's deferred readout

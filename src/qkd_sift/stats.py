@@ -21,20 +21,22 @@ from .adversary import EveStrategy
 from .errors import DomainError, EnumerationTooLarge, TraceInconsistent, is_int
 from .quantum_core import BobPOVM
 from .protocol import (
-    Basis,
+    _XX,
+    _ZZ,
     CountDetected,
     CountPerBasis,
     EstimationRun,
     ProtocolParams,
     RandomStream,
     TerminationRule,
+    _dyadic,
+    _repeated_sum,
     derive_stream,
     replay_counter,
     run_estimation,
 )
 
 _BDC_LIMIT = 1.0
-_RECOUNT_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,33 +63,28 @@ class MartingaleTrace:
 def build_trace(run: EstimationRun) -> MartingaleTrace:
     """Assemble the centered processes from an estimation run.
 
-    Recounts the error indicators from the per-round records; disagreement
+    Recounts the error indicators from the run's columns; disagreement
     with the run's stored counters, a violated bounded-difference condition,
     or a nonzero starting point all raise :class:`TraceInconsistent`.
     """
-    n = len(run.per_round)
-    ind_ph = np.zeros(n, dtype=np.float64)
-    ind_xerr = np.zeros(n, dtype=np.float64)
-    p_ph = np.empty(n, dtype=np.float64)
-    p_xerr = np.empty(n, dtype=np.float64)
-    for i, rec in enumerate(run.per_round):
-        p_ph[i] = rec.p_ph
-        p_xerr[i] = rec.p_xerr
-        if rec.x_outcomes[0] != rec.x_outcomes[1]:
-            ba, bb = rec.bases
-            if ba is Basis.Z and bb is Basis.Z:
-                ind_ph[i] = 1.0
-            elif ba is Basis.X and bb is Basis.X:
-                ind_xerr[i] = 1.0
-    if int(ind_ph.sum()) != run.lambda_ph or int(ind_xerr.sum()) != run.lambda_xerr:
+    params = run.transcript.params
+    pair = np.frombuffer(run.pairs, dtype=np.uint8)
+    error = np.frombuffer(run.readouts, dtype=np.uint8) % 3 > 0  # x_a != x_b
+    ind_ph = error & (pair == _ZZ)
+    ind_xerr = error & (pair == _XX)
+    t = np.array(run.t_phase, dtype=np.float64)[run.laws]
+    p_ph = params.q_z * t
+    p_xerr = params.q_x * t
+    lam_ph = np.concatenate(([0], np.cumsum(ind_ph, dtype=np.int64)))
+    lam_xerr = np.concatenate(([0], np.cumsum(ind_xerr, dtype=np.int64)))
+    if lam_ph[-1] != run.lambda_ph or lam_xerr[-1] != run.lambda_xerr:
         raise TraceInconsistent(
-            f"recounted (ph={int(ind_ph.sum())}, xerr={int(ind_xerr.sum())}) "
+            f"recounted (ph={lam_ph[-1]}, xerr={lam_xerr[-1]}) "
             f"vs stored (ph={run.lambda_ph}, xerr={run.lambda_xerr})"
         )
 
     def centered(ind: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
-        x = np.zeros(n + 1, dtype=np.float64)
-        np.cumsum(ind - p, out=x[1:])
+        x = np.concatenate(([0.0], np.cumsum(ind - p)))
         steps = np.abs(np.diff(x))
         if steps.size and float(steps.max()) > _BDC_LIMIT:
             raise TraceInconsistent(
@@ -96,15 +93,9 @@ def build_trace(run: EstimationRun) -> MartingaleTrace:
             )
         return x
 
-    x_ph = centered(ind_ph, p_ph, "phase process")
-    x_xerr = centered(ind_xerr, p_xerr, "X-error process")
-    lam_ph = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(ind_ph.astype(np.int64), out=lam_ph[1:])
-    lam_xerr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(ind_xerr.astype(np.int64), out=lam_xerr[1:])
     return MartingaleTrace(
-        x_ph=x_ph,
-        x_xerr=x_xerr,
+        x_ph=centered(ind_ph, p_ph, "phase process"),
+        x_xerr=centered(ind_xerr, p_xerr, "X-error process"),
         lambda_ph=lam_ph,
         lambda_xerr=lam_xerr,
         p_ph=p_ph,
@@ -152,9 +143,17 @@ def relation_check(run: EstimationRun) -> float:
     """
     q_z = run.transcript.params.q_z
     q_x = run.transcript.params.q_x
-    return math.fsum(r.p_ph / q_z for r in run.per_round) - math.fsum(
-        r.p_xerr / q_x for r in run.per_round
+    if q_z == 0.0 or q_x == 0.0:
+        raise DomainError(f"the relation needs q_z and q_x > 0, got q_z={q_z!r}, q_x={q_x!r}")
+    return _law_sum(run, [q_z * t / q_z for t in run.t_phase]) - _law_sum(
+        run, [q_x * t / q_x for t in run.t_phase]
     )
+
+
+def _law_sum(run: EstimationRun, weights: list[float]) -> float:
+    """``math.fsum`` over the run's detected rounds of ``weights[law]``."""
+    counts = np.bincount(run.laws, minlength=len(weights))
+    return _repeated_sum(_dyadic(weights), counts.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +232,16 @@ def estimation_counts(run: EstimationRun) -> tuple[int, int, float, float, int, 
     """One run's ``(lambda_ph, lambda_xerr, sum_p_ph, sum_p_xerr, n_z, n_x)``.
 
     These are the counters of :func:`~qkd_sift.protocol.replay_counter`, read
-    off the run's per-round records.
+    off the run's columns.
     """
+    params = run.transcript.params
     return (
         run.lambda_ph,
         run.lambda_xerr,
-        math.fsum(r.p_ph for r in run.per_round),
-        math.fsum(r.p_xerr for r in run.per_round),
+        _law_sum(run, [params.q_z * t for t in run.t_phase]),
+        _law_sum(run, [params.q_x * t for t in run.t_phase]),
         len(run.s_az_vir),
-        sum(1 for r in run.per_round if r.bases[0] is Basis.X and r.bases[1] is Basis.X),
+        run.pairs.count(_XX),
     )
 
 

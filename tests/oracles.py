@@ -2,12 +2,15 @@
 
 Everything here is written directly from the defining formulas, using
 arbitrary precision (mpmath), exact rationals, or naive brute force.  None of
-it imports the package under test, so agreement is meaningful.  There are
-two exceptions, each a former body of a package function that its NumPy
-replacement must match number for number:
+it imports the package under test, so agreement is meaningful.  The
+exceptions are former bodies of package functions that their NumPy
+replacements must match number for number:
 :func:`coverage_trials_reference`, the trial loop over the package's own
-round loop, and :func:`enumerate_bias_dfs_reference`, the depth-first walk
-behind the exact stopping-rule bias.
+round loop; :func:`estimation_counts_reference`,
+:func:`relation_check_reference` and :func:`build_trace_reference`, which
+read an estimation run's per-round records; and
+:func:`enumerate_bias_dfs_reference`, the depth-first walk behind the exact
+stopping-rule bias.
 """
 
 from __future__ import annotations
@@ -384,6 +387,67 @@ def coverage_trials_reference(params, strategy, trials, rng, workers=1, povm=Non
         sum_p_xerr=sum_xerr,
         n_z=n_z,
         n_x=n_x,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Estimation-run reductions, one pass over the per-round records
+
+
+def estimation_counts_reference(run):
+    """``stats.estimation_counts`` as it was before the run kept columns."""
+    from qkd_sift.protocol import Basis
+
+    return (
+        run.lambda_ph,
+        run.lambda_xerr,
+        math.fsum(r.p_ph for r in run.per_round),
+        math.fsum(r.p_xerr for r in run.per_round),
+        len(run.s_az_vir),
+        sum(1 for r in run.per_round if r.bases[0] is Basis.X and r.bases[1] is Basis.X),
+    )
+
+
+def relation_check_reference(run):
+    """``stats.relation_check`` as it was before the run kept columns."""
+    q_z = run.transcript.params.q_z
+    q_x = run.transcript.params.q_x
+    return math.fsum(r.p_ph / q_z for r in run.per_round) - math.fsum(
+        r.p_xerr / q_x for r in run.per_round
+    )
+
+
+def build_trace_reference(run):
+    """``stats.build_trace``'s arrays, filled record by record, without its checks."""
+    from qkd_sift.protocol import Basis
+    from qkd_sift.stats import MartingaleTrace
+
+    n = len(run.per_round)
+    ind_ph = np.zeros(n, dtype=np.float64)
+    ind_xerr = np.zeros(n, dtype=np.float64)
+    p_ph = np.empty(n, dtype=np.float64)
+    p_xerr = np.empty(n, dtype=np.float64)
+    for i, rec in enumerate(run.per_round):
+        p_ph[i] = rec.p_ph
+        p_xerr[i] = rec.p_xerr
+        if rec.x_outcomes[0] != rec.x_outcomes[1]:
+            if rec.bases == (Basis.Z, Basis.Z):
+                ind_ph[i] = 1.0
+            elif rec.bases == (Basis.X, Basis.X):
+                ind_xerr[i] = 1.0
+
+    def cumulative(steps, dtype):
+        out = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(steps, out=out[1:])
+        return out
+
+    return MartingaleTrace(
+        x_ph=cumulative(ind_ph - p_ph, np.float64),
+        x_xerr=cumulative(ind_xerr - p_xerr, np.float64),
+        lambda_ph=cumulative(ind_ph.astype(np.int64), np.int64),
+        lambda_xerr=cumulative(ind_xerr.astype(np.int64), np.int64),
+        p_ph=p_ph,
+        p_xerr=p_xerr,
     )
 
 

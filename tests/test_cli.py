@@ -530,6 +530,23 @@ _MALFORMED = {
     ),
     "sweep-true": (_with(_SWEEP, "sweep", values=[True, 2]), "ValidationError"),
     "sweep-1e400": (json.dumps(_SWEEP).replace("[8, 16]", "[1e400]"), "ParseError"),
+    "delta-true": (_with(MINIMAL, "params", delta=True), "ValidationError"),
+    "f_ec-true": (_with(MINIMAL, "params", f_ec=True), "ValidationError"),
+    "p_z_a-true": (_with(MINIMAL, "params", p_z_a=True), "ValidationError"),
+    "p_z_a-string": (_with(MINIMAL, "params", p_z_a="0.5"), "ValidationError"),
+    "eta_det-true": (dict(MINIMAL, eta_det=True), "ValidationError"),
+    "p_loss-false": (
+        dict(MINIMAL, strategy={"kind": "identity_lossy", "p_loss": False}),
+        "ParseError",
+    ),
+    "depolarizing-p-true": (
+        dict(MINIMAL, strategy={"kind": "depolarizing", "p": True}),
+        "ParseError",
+    ),
+    "bias_gain-true": (
+        dict(MINIMAL, strategy={"kind": "adaptive_basis_tracker", "bias_gain": True}),
+        "ParseError",
+    ),
 }
 
 
@@ -542,6 +559,49 @@ def test_main_refuses_a_malformed_number(tmp_path, capsys, case):
     assert err["schema"] == SCHEMA_TAG
     assert err["error"]["type"] == error
     assert not out.exists()
+
+
+def test_main_refuses_the_relation_residual_without_x_rounds(tmp_path, capsys):
+    # p_z_a = 1 makes q_x = 0, and the residual divides by q_x.
+    out = tmp_path / "out.json"
+    doc = _with(MINIMAL, "params", p_z_a=1.0)
+    assert main(["run", "--config", _write(tmp_path, doc), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "DomainError"
+    assert not out.exists()
+
+
+def test_main_reports_a_nul_byte_in_the_output_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = dict(MINIMAL, output_path="out\u0000x.json")
+    assert main(["run", "--config", _write(tmp_path, doc)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "IoError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config", "cfg\u0000.json"], ["bias-demo", "--out", "demo\u0000.json"]],
+    ids=["config", "bias-demo-out"],
+)
+def test_main_reports_a_nul_byte_in_a_path_argument(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "IoError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_reports_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps(MINIMAL).encode().replace(b'"estimation"', b'"estimation\xff"'))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ParseError"
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -19,6 +19,7 @@ from qkd_sift.adversary import (
     EveStrategy,
     IdentityLossy,
     InterceptResend,
+    depolarizing_channel,
     make_strategy,
 )
 from qkd_sift.errors import DomainError, EnumerationTooLarge, MaxRoundsExceeded, TraceInconsistent
@@ -26,7 +27,6 @@ from qkd_sift.protocol import (
     Basis,
     CountDetected,
     CountPerBasis,
-    PerRound,
     ProtocolParams,
     derive_stream,
     replay_counter,
@@ -40,6 +40,7 @@ from qkd_sift.stats import (
     coverage_report,
     coverage_trials,
     enumerate_bias,
+    estimation_counts,
     martingale_drift,
     relation_check,
 )
@@ -93,10 +94,9 @@ def test_trace_rejects_tampered_counters():
 
 def test_trace_rejects_out_of_range_probabilities():
     run = run_estimation(_params(n=4), IDENTITY, derive_stream(33, 0))
-    rigged = [
-        PerRound(r.bases, r.x_outcomes, 1.5, r.p_xerr) for r in run.per_round
-    ]
-    bad = dataclasses.replace(run, per_round=rigged)
+    # q_z = 0.25, so t = 6 gives every round p_ph = 1.5
+    bad = dataclasses.replace(run, t_phase=(6.0,))
+    assert {r.p_ph for r in bad.per_round} == {1.5}
     with pytest.raises(TraceInconsistent, match="bounded-difference"):
         build_trace(bad)
 
@@ -132,6 +132,38 @@ def test_drift_of_noisy_traces_is_small():
     # 4-sigma sanity on every round (the acceptance suite does this at scale)
     bad = np.abs(drift.mean_ph) > 4.0 * drift.stderr_ph + 1e-12
     assert bad.mean() < 0.05
+
+
+# Every built-in strategy kind, and strategies that mint a fresh op every
+# round: with four values the ops repeat by value, with random values they
+# do not.
+_COLUMN_STRATEGIES = {
+    "identity": make_strategy(IdentityLossy(0.0)),
+    "lossy": make_strategy(IdentityLossy(0.5)),
+    "depolarizing": make_strategy(Depolarizing(0.04, p_loss=0.5)),
+    "intercept-random": make_strategy(InterceptResend()),
+    "intercept-always-x": make_strategy(InterceptResend(basis_policy="always_x")),
+    "tracker-window-1": make_strategy(AdaptiveBasisTracker(1, 1.5)),
+    "tracker-window-16": make_strategy(AdaptiveBasisTracker(16)),
+    "fresh-four-values": EveStrategy(
+        "fresh", lambda prefix, rng: depolarizing_channel(rng.choice((0.0, 0.2, 0.4, 0.6)))
+    ),
+    "fresh-distinct-values": EveStrategy(
+        "fresh", lambda prefix, rng: depolarizing_channel(rng.random())
+    ),
+}
+
+
+@pytest.mark.parametrize("p_z", (0.5, 0.7))
+@pytest.mark.parametrize("name", _COLUMN_STRATEGIES)
+def test_column_reductions_equal_the_per_round_reference(name, p_z):
+    run = run_estimation(_params(n=300, p_z=p_z), _COLUMN_STRATEGIES[name], derive_stream(39, 0))
+    assert estimation_counts(run) == oracles.estimation_counts_reference(run)
+    assert relation_check(run) == oracles.relation_check_reference(run)
+    got, want = build_trace(run), oracles.build_trace_reference(run)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
 
 
 def test_relation_residual_is_zero_to_rounding():
