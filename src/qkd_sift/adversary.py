@@ -304,7 +304,7 @@ def strategy_from_dict(d: dict) -> StrategyConfig:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"strategy must be an object with a 'kind' field, got {d!r}")
     kind = d["kind"]
-    cls = _KIND_MAP.get(kind)
+    cls = _KIND_MAP.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(
             f"unknown strategy kind {kind!r}; expected one of {sorted(_KIND_MAP)}"

@@ -126,6 +126,9 @@ class RunConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials!r}")
         if not is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned, got {self.seed!r}")
+        if not isinstance(self.output_path, str):
+            # open() would take an int as a file descriptor.
+            raise ValidationError(f"output_path must be a string, got {self.output_path!r}")
         if self.output_format not in ("json", "csv"):
             raise ValidationError(
                 f"output_format must be 'json' or 'csv', got {self.output_format!r}"

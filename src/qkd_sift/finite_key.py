@@ -54,7 +54,7 @@ def azuma_tail(n: int, delta: float) -> AzumaBound:
     """
     if n < 1:
         raise DomainError(f"round count must be >= 1, got {n}")
-    if delta < 0.0:
+    if not delta >= 0.0:  # a NaN fails too
         raise DomainError(f"delta must be >= 0, got {delta!r}")
     eta_single = math.exp(-n * delta * delta / 2.0)
     return AzumaBound(n=n, delta=delta, eta_single=eta_single, eta=2.0 * eta_single)
@@ -70,13 +70,14 @@ def phase_error_bound(
 
         (q_z / q_x) * wt_x + (q_z / q_x + 1) * n * delta
     """
-    if q_x <= 0.0:
+    # Each check is written so that a NaN fails it.
+    if not q_x > 0.0:
         raise DomainError("q_x must be positive to scale the observed errors")
-    if q_z < 0.0 or wt_x < 0.0:
+    if not (q_z >= 0.0 and wt_x >= 0.0):
         raise DomainError("q_z and wt_x must be >= 0")
     if n < 1:
         raise DomainError(f"round count must be >= 1, got {n}")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise DomainError(f"delta must be >= 0, got {delta!r}")
     ratio = q_z / q_x
     return ratio * wt_x + (ratio + 1.0) * n * delta
@@ -117,13 +118,14 @@ def key_length(
     """
     if n_z < 0:
         raise DomainError(f"n_z must be >= 0, got {n_z}")
-    if e_ph_bar < 0.0:
+    # Each check is written so that a NaN fails it.
+    if not e_ph_bar >= 0.0:
         raise DomainError(f"e_ph_bar must be >= 0, got {e_ph_bar!r}")
     if not 0.0 < eps_s < 1.0:
         raise DomainError(f"eps_s must be in (0, 1), got {eps_s!r}")
     if not 0.0 < eps_c < 1.0:
         raise DomainError(f"eps_c must be in (0, 1), got {eps_c!r}")
-    if eta < 0.0:
+    if not eta >= 0.0:
         raise DomainError(f"eta must be >= 0, got {eta!r}")
     if lambda_ec < 0:
         raise DomainError(f"lambda_ec must be >= 0, got {lambda_ec}")

@@ -37,10 +37,12 @@ exactly when the 53-bit integer behind ``random()`` is below
 is read.  It visits the delivered rounds and counts the undelivered ones
 between them; only a transcript needs the start of every round.
 ``run_actual`` and ``run_virtual`` replay sessions of at least
-``_REPLAY_MIN_DETECTIONS`` detections this way, and :func:`replay_counter`
-gives the estimation counters of coverage trials.  A replay returns what
-the loop returns and leaves the stream where the loop leaves it.  Custom
-strategies, the per-basis quota rule and short sessions run the loop.
+``_REPLAY_MIN_DETECTIONS`` detections and ``batch_size`` 1 this way, and
+:func:`replay_counter` gives the estimation counters of coverage trials at
+any batch size: the walk ends at the n-th detection, and rounds in flight
+past it change no counter.  A replay returns what the loop returns and
+leaves the stream where the loop leaves it.  Custom strategies, the
+per-basis quota rule, and short or batched sessions run the loop.
 """
 
 from __future__ import annotations
@@ -803,9 +805,11 @@ def _replayer(
     actual picture the same ``p_deliver[bit][basis]`` and probability that
     Bob detects, for every bit and pair of bases; otherwise the same
     ``(p_deliver, p_detect)``.  A round must also detect with positive
-    probability, so all-loss laws run the loop.  Nothing is drawn here.
+    probability, so all-loss laws run the loop.  A replay stops at the n-th
+    detection, so the actual and virtual pictures, which announce the
+    rounds in flight past it, need ``batch_size`` 1.  Nothing is drawn here.
     """
-    if not eve.schedule or not eve.ops:
+    if not eve.schedule or not eve.ops or (picture is not _ESTIMATION and params.batch_size > 1):
         return None
     if picture is _ACTUAL:
         laws = [_actual_law(povm, op) for op in eve.ops]
@@ -914,13 +918,23 @@ def _below(hi: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
     return at
 
 
-def _words(stream: RandomStream, k: int) -> np.ndarray:
-    """The next k MT19937 words of ``stream``, drawn at once.
+# Words per getrandbits call of _words.  Drawn whole, a 400 KB buffer's int
+# and bytes went back to the system and were faulted in again every trial.
+_WORDS_PIECE = 8192
 
-    ``getrandbits(32 * k)`` takes k words and puts the first in the lowest
+
+def _words(stream: RandomStream, k: int) -> np.ndarray:
+    """The next k MT19937 words of ``stream``, drawn in bulk.
+
+    ``getrandbits(32 * m)`` takes m words and puts the first in the lowest
     bits; ``random()`` takes two.
     """
-    return np.frombuffer(stream.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")
+    words = np.empty(k, dtype="<u4")
+    for start in range(0, k, _WORDS_PIECE):
+        m = min(_WORDS_PIECE, k - start)
+        piece = stream.getrandbits(32 * m).to_bytes(4 * m, "little")
+        words[start : start + m] = np.frombuffer(piece, dtype="<u4")
+    return words
 
 
 def _word_pairs(stream: RandomStream, k: int) -> np.ndarray:
@@ -1008,11 +1022,10 @@ def _replay_counts(
             reads = s.u[s.at[s.hits][:, np.newaxis] + _ESTIMATION_READS]
             return (reads, _round_index(s)[s.hits]) if several else (reads,)
 
-        columns, _, _ = _walk(
+        columns, _ = _walk(
             functools.partial(_word_pairs, rng),
             n,
             params.max_rounds,
-            1,
             per_detection,
             _LAYOUTS[_ESTIMATION],
             _one_draw_tests(law),
@@ -1108,11 +1121,10 @@ def _replay_session(
             )
 
         draw, words_per_unit = stream.pairs, 2
-    (index, b_z, a_z, *rest), rounds, used = _walk(
+    (index, b_z, a_z, *rest), used = _walk(
         draw,
         params.n_det_ter,
         params.max_rounds,
-        params.batch_size,
         per_detection,
         _LAYOUTS[picture],
         tests,
@@ -1120,12 +1132,10 @@ def _replay_session(
     )
     stream.seek(words_per_unit * used)
 
-    hits = np.zeros(rounds, dtype=bool)
+    hits = np.zeros(index[-1] + 1, dtype=bool)  # the last round is the n-th detection
     hits[index] = True
     basis_b = np.where(b_z, Basis.Z.value, Basis.X.value).astype(np.uint8)
-    op = schedule(
-        hits[: index[-1] + 1], basis_b[index], functools.partial(_uniforms, eve_rng)
-    )[index]
+    op = schedule(hits, basis_b[index], functools.partial(_uniforms, eve_rng))[index]
     basis_a = np.zeros_like(basis_b)
     basis_a[index] = np.where(a_z, Basis.Z.value, Basis.X.value)
     transcript = Transcript(params)
@@ -1150,10 +1160,7 @@ def _replay_session(
         z = zz[kept]
         x = ~z
         cum = np.array([[law.xx_cum, law.zz_cum] for law in laws])[op[kept], z.astype(np.intp)]
-        u = np.empty(len(cum))
-        for start in range(0, len(u), _REPLAY_CHUNK):
-            part = u[start : start + _REPLAY_CHUNK]
-            part[:] = stream.uniforms(len(part))
+        u = stream.uniforms(len(cum))
         outcome = np.where(
             u < cum[:, 0], 0, np.where(u < cum[:, 1], 1, np.where(u < cum[:, 2], 2, 3))
         ).astype(np.uint8)
@@ -1182,13 +1189,12 @@ def _walk(
     draw: Callable[[int], np.ndarray],
     n: int,
     max_rounds: int,
-    batch: int,
     per_detection: float,
     layout: tuple[int, int, tuple[int, int]],
     tests: tuple[Callable, Callable],
     extract: Callable[[_Stretch], tuple],
-) -> tuple[list[np.ndarray], int, int]:
-    """Walk a session's rounds through its draws to the end of the session.
+) -> tuple[list[np.ndarray], int]:
+    """Walk a session's rounds through its draws to its n-th detection.
 
     ``draw(k)`` gives the session's next k units: MT19937 words, or
     ``random()`` values as :func:`_word_pairs` packs their words.
@@ -1196,31 +1202,26 @@ def _walk(
     ``tests`` are two predicates on a buffer ``u``: ``delivered(u, limit)``
     gives the units below ``limit`` at which a round that starts there is
     delivered, and ``detected(u, starts)`` whether the delivered rounds at
-    ``starts`` are detections.
-
-    The session ends at the n-th detection.  Rounds that are still emitted
-    to the end of its batch (never past ``max_rounds``) are in flight: their
-    detections are not counted, so they take the stride of a delivered round
-    that is not detected.  Raises :class:`MaxRoundsExceeded` as
+    ``starts`` are detections.  The session ends at the n-th detection, so
+    no round is in flight; raises :class:`MaxRoundsExceeded` as
     :func:`_session` does.
 
     Draws come in buffers of at most :data:`_REPLAY_CHUNK` units, sized from
     ``per_detection``, the units to draw per detection; a round cut by the
-    end of a buffer is carried into the next.  The walk visits only the
-    delivered rounds; the undelivered ones between them are counted, not
-    built.  ``extract`` gets each :class:`_Stretch` of rounds emitted from a
-    buffer.  Returns the arrays that ``extract`` returned, each joined over
-    the stretches, the number of rounds emitted, and the number of units
-    the session used.
+    end of a buffer is carried into the next, which starts with it.  The
+    walk visits only the delivered rounds; the undelivered ones between
+    them are counted, not built.  ``extract`` gets the :class:`_Stretch` of
+    rounds emitted from each buffer.  Returns the arrays that ``extract``
+    returned, each joined over the stretches, and the number of units the
+    session used.
     """
     span, skip, strides = layout
     is_delivered, is_detected = tests
     pieces = []
     tail = None  # the units of the previous buffer from the round it did not fit
     base = count = rounds = 0  # units before the buffer; detections and rounds so far
-    extra = None  # rounds still to emit after the n-th detection, once it is seen
     while True:
-        want = (n - count) * per_detection + 64 if extra is None else (extra + 1) * span
+        want = (n - count) * per_detection + 64
         u = draw(_REPLAY_CHUNK if want >= _REPLAY_CHUNK else int(want))
         if tail is not None:
             u = np.concatenate((tail, u))
@@ -1230,92 +1231,61 @@ def _walk(
         # The walk needs the detections beforehand only if they set the
         # stride; otherwise it tests just the rounds it takes.
         hit = is_detected(u, delivered) if strides[0] != strides[1] else None
-        upcoming = None
-        p = 0  # the start of the next round
-        while True:
-            counting = extra is None
-            step = strides[0]
-            if counting and hit is not None and hit.any():
-                step = strides[1] if hit.all() else np.where(hit, strides[1], strides[0])
-            if m == limit and np.ndim(step) == 0:
-                path = np.arange(p, limit, step)  # every start delivered, one stride: no walk
-            else:
-                if upcoming is None:
-                    upcoming = _upcoming(delivered, len(u) + 1, skip)
-                path = _chase(upcoming[delivered + step], int(upcoming[p]), m)
-            at = delivered[path]
-            if not counting:
-                hits = np.zeros(len(at), dtype=bool)
-            else:
-                hits = is_detected(u, at) if hit is None else hit[path]
-            # The n-th detection, if the walk is counting and it is here.
-            found = np.flatnonzero(hits)[n - count - 1 : n - count] if counting else []
-            if len(found):
-                at, hits = at[: found[0] + 1], hits[: found[0] + 1]
-            end = int(at[-1]) + strides[1 if hits[-1] else 0] if len(at) else p
-            stop = None  # where the next buffer starts, unless the session ends here
-            after = 0  # undelivered rounds after the last delivered one
-            if not len(found):
-                stop = end if end >= limit else end - (end - limit) // skip * skip
-                after = (stop - end) // skip
-            emitted = after
-            if len(at):
-                # From p to the last delivered round, the units that no
-                # delivered round takes are undelivered rounds.
-                taken = strides[0] * (len(at) - 1) + (strides[1] - strides[0]) * int(
-                    np.count_nonzero(hits[:-1])
-                )
-                emitted += len(at) + (int(at[-1]) - p - taken) // skip
-            stretch = _Stretch(u, p, at, hits, strides, after, skip, rounds, emitted)
-            if not counting and emitted >= extra:
-                # The batch ends here: keep its first ``extra`` rounds.
-                index = _round_index(stretch) - rounds
-                kept = int(np.searchsorted(index, extra))  # delivered rounds among them
-                at, hits = at[:kept], hits[:kept]
-                end = int(at[-1]) + strides[0] if kept else p
-                after = extra - (int(index[kept - 1]) + 1 if kept else 0)
-                emitted, stop = extra, None
-                stretch = _Stretch(u, p, at, hits, strides, after, skip, rounds, emitted)
-            if counting and rounds + emitted > max_rounds:
-                detected = count + np.count_nonzero(_round_index(stretch)[hits] < max_rounds)
-                raise MaxRoundsExceeded(
-                    f"no termination after {max_rounds} rounds ({detected} detected)"
-                )
-            pieces.append(extract(stretch))
-            rounds += emitted
-            if stop is not None:
-                if not counting:
-                    extra -= emitted
-                else:
-                    count += int(np.count_nonzero(hits))
-                break
-            p = end + skip * after
-            if counting:
-                count = n
-                extra = min(-(-rounds // batch) * batch, max_rounds) - rounds
-            else:
-                extra = 0
-            if extra == 0:
-                # Join the stretches' pieces column by column.
-                columns = [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*pieces)]
-                return columns, rounds, base + p
+        step = strides[0]
+        if hit is not None and hit.any():
+            step = strides[1] if hit.all() else np.where(hit, strides[1], strides[0])
+        if m == limit and np.ndim(step) == 0:
+            path = np.arange(0, limit, step)  # every start delivered, one stride: no walk
+        else:
+            upcoming = _upcoming(delivered, len(u) + 1, skip)
+            path = _chase(upcoming[delivered + step], int(upcoming[0]), m)
+        at = delivered[path]
+        hits = is_detected(u, at) if hit is None else hit[path]
+        found = np.flatnonzero(hits)[n - count - 1 : n - count]  # the n-th detection
+        after = 0  # undelivered rounds after the last delivered one
+        if len(found):
+            at, hits = at[: found[0] + 1], hits[: found[0] + 1]
+        else:
+            end = int(at[-1]) + strides[1 if hits[-1] else 0] if len(at) else 0
+            stop = end if end >= limit else end - (end - limit) // skip * skip
+            after = (stop - end) // skip
+        emitted = after
+        if len(at):
+            # Up to the last delivered round, the units that no delivered
+            # round takes are undelivered rounds.
+            taken = strides[0] * (len(at) - 1) + (strides[1] - strides[0]) * int(
+                np.count_nonzero(hits[:-1])
+            )
+            emitted += len(at) + (int(at[-1]) - taken) // skip
+        stretch = _Stretch(u, at, hits, strides, after, skip, rounds, emitted)
+        if rounds + emitted > max_rounds:
+            detected = count + np.count_nonzero(_round_index(stretch)[hits] < max_rounds)
+            raise MaxRoundsExceeded(
+                f"no termination after {max_rounds} rounds ({detected} detected)"
+            )
+        pieces.append(extract(stretch))
+        rounds += emitted
+        if len(found):
+            # Join the stretches' pieces column by column.
+            columns = [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*pieces)]
+            return columns, base + int(at[-1]) + strides[1]
+        count += int(np.count_nonzero(hits))
         tail = u[stop:]
         base += stop
 
 
 class _Stretch(NamedTuple):
-    """The ``rounds`` rounds that a walk emits from one buffer, from unit ``p`` on.
+    """The ``rounds`` rounds that a walk emits from one buffer, from its first unit on.
 
     ``at`` are the starts of the delivered rounds, in order, and ``hits``
-    whether each is a counted detection, which sets its stride in
-    ``strides``.  The other rounds are undelivered, ``skip`` units each:
-    they run from p and from the end of each delivered round up to the
-    next, and ``after`` of them follow the last one.  The session emitted
+    whether each is a detection, which sets its stride in ``strides``.  The
+    other rounds are undelivered, ``skip`` units each: they run from the
+    buffer's start and from the end of each delivered round up to the next,
+    and ``after`` of them follow the last one.  The session emitted
     ``before`` rounds ahead of them.
     """
 
     u: np.ndarray
-    p: int
     at: np.ndarray
     hits: np.ndarray
     strides: tuple[int, int]
@@ -1331,7 +1301,7 @@ def _runs(s: _Stretch) -> tuple[np.ndarray, np.ndarray]:
     Each run but the last is undelivered rounds and the delivered round that
     ends it; the last is the ``after`` rounds.
     """
-    first = np.concatenate(([s.p], s.at + np.where(s.hits, s.strides[1], s.strides[0])))
+    first = np.concatenate(([0], s.at + np.where(s.hits, s.strides[1], s.strides[0])))
     return first, np.append((s.at - first[:-1]) // s.skip + 1, s.after)
 
 

@@ -247,7 +247,7 @@ def estimation_counts(run: EstimationRun) -> tuple[int, int, float, float, int, 
 
 def coverage_report(stats: TrialStats, delta: float) -> CoverageReport:
     """Count deviation violations of both one-sided bounds at one delta."""
-    if delta < 0.0:
+    if not delta >= 0.0:  # a NaN fails too
         raise DomainError(f"delta must be >= 0, got {delta!r}")
     threshold = stats.n * delta
     v_ph = int(np.count_nonzero(stats.lambda_ph - stats.sum_p_ph >= threshold))

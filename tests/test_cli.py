@@ -1,5 +1,6 @@
 """Config schema, report envelopes, CLI entry points, thread determinism."""
 
+import contextlib
 import csv
 import functools
 import io
@@ -547,6 +548,8 @@ _MALFORMED = {
         dict(MINIMAL, strategy={"kind": "adaptive_basis_tracker", "bias_gain": True}),
         "ParseError",
     ),
+    "kind-list": (dict(MINIMAL, strategy={"kind": ["identity_lossy"]}), "ParseError"),
+    "kind-object": (dict(MINIMAL, strategy={"kind": {}}), "ParseError"),
 }
 
 
@@ -559,6 +562,26 @@ def test_main_refuses_a_malformed_number(tmp_path, capsys, case):
     assert err["schema"] == SCHEMA_TAG
     assert err["error"]["type"] == error
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["descriptor", "null", "list"])
+def test_main_refuses_an_output_path_that_is_no_string(tmp_path, capsys, kind):
+    # open() takes an int as a file descriptor: the artifact went to that
+    # descriptor, which was then closed.  A pipe stands in for it.
+    read_end, write_end = os.pipe()
+    path = {"descriptor": write_end, "null": None, "list": ["out.json"]}[kind]
+    with os.fdopen(read_end, "rb") as pipe:
+        try:
+            assert main(["run", "--config", _write(tmp_path, dict(MINIMAL, output_path=path))]) == 1
+        finally:
+            with contextlib.suppress(OSError):  # closed already if main wrote to it
+                os.close(write_end)
+        assert pipe.read() == b""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "ValidationError"
 
 
 def test_main_refuses_the_relation_residual_without_x_rounds(tmp_path, capsys):

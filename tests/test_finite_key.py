@@ -28,6 +28,7 @@ from qkd_sift.finite_key import (
     pipeline,
 )
 from qkd_sift.protocol import ProtocolParams, SiftedData
+from qkd_sift.stats import TrialStats, coverage_report
 
 
 # -- binary entropy ----------------------------------------------------------
@@ -105,6 +106,48 @@ def test_phase_error_bound_guards():
         phase_error_bound(-1, 0.5, 0.5, 100, 0.1)
     with pytest.raises(DomainError):
         phase_error_bound(1, 0.5, 0.5, 0, 0.1)
+
+
+_NAN = float("nan")
+_TWO_TRIALS = TrialStats(
+    n=10,
+    lambda_ph=np.array([5, 0]),
+    lambda_xerr=np.array([0, 0]),
+    sum_p_ph=np.array([1.0, 0.0]),
+    sum_p_xerr=np.array([0.0, 2.0]),
+    n_z=np.zeros(2, dtype=np.int64),
+    n_x=np.zeros(2, dtype=np.int64),
+)
+
+
+# Each call once passed a NaN through: no violations, eta = nan, a nan
+# bound, or a bare ValueError from math.floor.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coverage_report(_TWO_TRIALS, _NAN),
+        lambda: azuma_tail(10, _NAN),
+        lambda: phase_error_bound(1, 0.5, 0.5, 100, _NAN),
+        lambda: phase_error_bound(1, _NAN, 0.5, 100, 0.1),
+        lambda: phase_error_bound(1, 0.5, _NAN, 100, 0.1),
+        lambda: phase_error_bound(_NAN, 0.5, 0.5, 100, 0.1),
+        lambda: key_length(1000, 0.0, 1e-10, _NAN, 0, 1e-10),
+        lambda: key_length(1000, _NAN, 1e-10, 1e-21, 0, 1e-10),
+    ],
+    ids=[
+        "coverage_report-delta",
+        "azuma_tail-delta",
+        "phase_error_bound-delta",
+        "phase_error_bound-q_z",
+        "phase_error_bound-q_x",
+        "phase_error_bound-wt_x",
+        "key_length-eta",
+        "key_length-e_ph_bar",
+    ],
+)
+def test_domain_checks_refuse_nan(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 # -- key length --------------------------------------------------------------

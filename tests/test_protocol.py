@@ -43,6 +43,7 @@ from qkd_sift.protocol import (
     derive_stream,
     hex_to_bits,
     postprocess,
+    replay_counter,
     run_actual,
     run_estimation,
     run_insecure_termination,
@@ -60,6 +61,7 @@ from qkd_sift.quantum_core import (
     ideal_povm,
     pair_outcome_probs,
 )
+from qkd_sift.stats import estimation_counts
 
 IDENTITY = make_strategy(IdentityLossy(0.0))
 
@@ -620,11 +622,15 @@ def test_threshold_test_on_words_equals_the_float_test(p):
 
 
 def test_words_stand_for_the_random_values_they_replace():
+    # Enough values that the words are drawn in several pieces.
+    k = protocol._WORDS_PIECE + 1000
     stream = random.Random(5)
-    want = np.array([stream.random() for _ in range(1000)])
-    pairs = protocol._word_pairs(random.Random(5), 1000)
+    want = np.array([stream.random() for _ in range(k)])
+    drawn = random.Random(5)
+    pairs = protocol._word_pairs(drawn, k)
+    assert drawn.getstate() == stream.getstate()
     assert np.array_equal(protocol._to_random(*protocol._halves(pairs)), want)
-    assert np.array_equal(protocol._uniforms(random.Random(5), 1000), want)
+    assert np.array_equal(protocol._uniforms(random.Random(5), k), want)
 
 
 @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 63, 1000])
@@ -714,10 +720,10 @@ def _assert_same_session(got, want, where):
 def test_session_replay_matches_the_round_loop(name, eta, picture):
     eve = make_strategy(_REPLAY_STRATEGIES[name])
     povm = ideal_povm() if eta == 1.0 else detection_povm(eta)
-    for batch, p_z in itertools.product((1, 4, 7), (0.5, 0.7)):
-        params = _params(n=300, p_z_a=p_z, p_x_a=1.0 - p_z, batch_size=batch)
-        got, want = _loop_and_replay(params, eve, povm, picture, 10 * batch + int(10 * p_z))
-        _assert_same_session(got, want, (batch, p_z))
+    for stream, p_z in itertools.product((11, 41, 71), (0.5, 0.7)):
+        params = _params(n=300, p_z_a=p_z, p_x_a=1.0 - p_z)
+        got, want = _loop_and_replay(params, eve, povm, picture, stream + int(10 * p_z))
+        _assert_same_session(got, want, (stream, p_z))
 
 
 @pytest.mark.parametrize("picture", _PICTURES)
@@ -725,13 +731,13 @@ def test_session_replay_across_buffers(picture, monkeypatch):
     povm = detection_povm(0.8)
     eve = make_strategy(Depolarizing(0.15, p_loss=0.9))
     # A session long enough for several full buffers, ...
-    params = _params(n=4000, batch_size=7)
+    params = _params(n=4000)
     _assert_same_session(*_loop_and_replay(params, eve, povm, picture, 1), "long")
     # ... and buffers of 64 units, so that many rounds are cut at a buffer's
-    # end and the in-flight rounds and readouts spill into later buffers.
+    # end and the readouts spill into later buffers.
     monkeypatch.setattr(protocol, "_REPLAY_CHUNK", 64)
     for cfg in (IdentityLossy(0.0), AdaptiveBasisTracker(3, 1.5)):
-        params = _params(n=150, p_z=0.6, batch_size=7)
+        params = _params(n=150, p_z=0.6)
         got, want = _loop_and_replay(params, make_strategy(cfg), povm, picture, 2)
         _assert_same_session(got, want, cfg)
 
@@ -740,10 +746,10 @@ def test_session_replay_across_buffers(picture, monkeypatch):
 def test_session_replay_raises_max_rounds_as_the_round_loop(picture):
     eve = make_strategy(IdentityLossy(0.5))
     raised = 0
-    for max_rounds, batch, stream in itertools.product((20, 23, 30), (1, 3, 7), range(4)):
-        params = _params(n=12, max_rounds=max_rounds, batch_size=batch)
+    for max_rounds, stream in itertools.product((20, 23, 30), range(12)):
+        params = _params(n=12, max_rounds=max_rounds)
         got, want = _loop_and_replay(params, eve, detection_povm(0.8), picture, stream)
-        _assert_same_session(got, want, (max_rounds, batch, stream))
+        _assert_same_session(got, want, (max_rounds, stream))
         raised += isinstance(want[0], str)
     assert 0 < raised < 36
 
@@ -774,6 +780,47 @@ def test_long_sessions_of_built_in_strategies_are_replayed(monkeypatch):
     plain = EveStrategy(eve.label, eve.behavior)
     with pytest.raises(AssertionError, match="round loop"):
         run_virtual(params, plain, derive_stream(4, 3))
+
+
+@pytest.mark.parametrize("picture", _PICTURES)
+def test_batched_sessions_are_not_replayed(picture):
+    # The replay ends at the n-th detection, and a batched session still
+    # announces the rounds in flight past it.
+    params = _params(n=protocol._REPLAY_MIN_DETECTIONS, batch_size=7)
+    eve = make_strategy(Depolarizing(0.04, p_loss=0.5))
+    assert protocol._replayer(params, eve, detection_povm(0.8), picture) is None
+    assert protocol._replayer(_params(n=params.n_det_ter), eve, ideal_povm(), picture)
+
+
+def test_long_batched_sessions_run_the_round_loop(monkeypatch):
+    ran = []
+
+    def loop(params, eve, rng, povm, rule, picture):
+        ran.append(picture)
+        return picture
+
+    monkeypatch.setattr(protocol, "_session", loop)
+    params = _params(n=protocol._REPLAY_MIN_DETECTIONS, batch_size=7)
+    eve = make_strategy(AdaptiveBasisTracker(16))
+    assert run_actual(params, eve, derive_stream(4, 0)) == protocol._ACTUAL
+    assert run_virtual(params, eve, derive_stream(4, 1)) == protocol._VIRTUAL
+    assert ran == [protocol._ACTUAL, protocol._VIRTUAL]
+
+
+@pytest.mark.parametrize(
+    "cfg", [Depolarizing(0.15, p_loss=0.9), AdaptiveBasisTracker(16), IdentityLossy(0.0)], ids=repr
+)
+def test_batched_estimation_counters_are_replayed(cfg):
+    # In-flight rounds change no counter, so the counter replay serves any
+    # batch size.
+    params = _params(n=300, batch_size=7)
+    eve = make_strategy(cfg)
+    povm = detection_povm(0.8)
+    replay = replay_counter(params, eve, povm)
+    assert replay is not None
+    for stream in range(3):
+        want = estimation_counts(run_estimation(params, eve, random.Random(stream), povm))
+        assert replay(random.Random(stream)) == want, stream
 
 
 # -- post-processing ------------------------------------------------------------
