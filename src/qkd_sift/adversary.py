@@ -198,32 +198,31 @@ def _first_op(detected: np.ndarray, basis_b: np.ndarray, draws) -> np.ndarray:
     return np.zeros(len(detected), dtype=np.intp)
 
 
+def _constant(label: str, op: ChannelOp) -> EveStrategy:
+    """The strategy that returns ``op`` every round."""
+
+    def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:
+        return op
+
+    return EveStrategy(label=label, behavior=behavior, ops=(op,), schedule=_first_op)
+
+
 def make_strategy(cfg: StrategyConfig) -> EveStrategy:
     """Compile a configuration into an executable strategy."""
-    if isinstance(cfg, (IdentityLossy, Depolarizing)):
-        if isinstance(cfg, IdentityLossy):
-            op = identity_lossy_channel(cfg.p_loss)
-            label = f"identity_lossy(p_loss={cfg.p_loss:g})"
-        else:
-            op = depolarizing_channel(cfg.p, cfg.p_loss)
-            label = f"depolarizing(p={cfg.p:g},p_loss={cfg.p_loss:g})"
+    if isinstance(cfg, IdentityLossy):
+        label = f"identity_lossy(p_loss={cfg.p_loss:g})"
+        return _constant(label, identity_lossy_channel(cfg.p_loss))
 
-        def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:
-            return op
-
-        return EveStrategy(label=label, behavior=behavior, ops=(op,), schedule=_first_op)
+    if isinstance(cfg, Depolarizing):
+        label = f"depolarizing(p={cfg.p:g},p_loss={cfg.p_loss:g})"
+        return _constant(label, depolarizing_channel(cfg.p, cfg.p_loss))
 
     if isinstance(cfg, InterceptResend):
         dephase_z = dephasing_channel(Basis.Z)
         dephase_x = dephasing_channel(Basis.X)
         label = f"intercept_resend({cfg.basis_policy},q={cfg.q:g})"
         if cfg.basis_policy != "random":
-            op = dephase_z if cfg.basis_policy == "always_z" else dephase_x
-
-            def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:
-                return op
-
-            return EveStrategy(label=label, behavior=behavior, ops=(op,), schedule=_first_op)
+            return _constant(label, dephase_z if cfg.basis_policy == "always_z" else dephase_x)
         q = cfg.q
 
         def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:

@@ -63,23 +63,11 @@ from .quantum_core import detection_povm
 
 SCHEMA_TAG = "qkd-sift/v1"
 
-MODES = ("actual", "virtual", "estimation", "coverage", "bias", "keyrate-sweep")
 SWEEP_AXES = ("n_det_ter", "delta", "depolarizing_p", "q_ratio")
 _FLOAT_MAX = sys.float_info.max  # a larger int would overflow float()
 
-_PARAM_FIELDS = (
-    "p_z_a",
-    "p_x_a",
-    "p_z_b",
-    "p_x_b",
-    "n_det_ter",
-    "eps_s",
-    "eps_c",
-    "delta",
-    "f_ec",
-    "max_rounds",
-    "batch_size",
-)
+_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ProtocolParams))
+_RULE_KINDS = {"count_detected": CountDetected, "count_per_basis": CountPerBasis}
 
 
 @dataclass(frozen=True)
@@ -159,46 +147,27 @@ def rule_from_dict(d: dict) -> TerminationRule:
     if not isinstance(d, dict) or "kind" not in d:
         raise ParseError(f"rule must be an object with a 'kind' field, got {d!r}")
     kind = d["kind"]
-    fields = {k: v for k, v in d.items() if k != "kind"}
+    cls = _RULE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"unknown rule kind {kind!r}; expected one of {sorted(_RULE_KINDS)}")
     try:
-        if kind == "count_detected":
-            return CountDetected(**fields)
-        if kind == "count_per_basis":
-            return CountPerBasis(**fields)
+        return cls(**{k: v for k, v in d.items() if k != "kind"})
     except TypeError as exc:
         raise ParseError(f"bad fields for rule {kind!r}: {exc}") from exc
-    raise ParseError(
-        f"unknown rule kind {kind!r}; expected 'count_detected' or 'count_per_basis'"
-    )
 
 
 def rule_to_dict(rule: TerminationRule) -> dict:
-    if isinstance(rule, CountDetected):
-        return {"kind": "count_detected", "n": rule.n}
-    return {
-        "kind": "count_per_basis",
-        "n_z_req": rule.n_z_req,
-        "n_x_req": rule.n_x_req,
-    }
+    for kind, cls in _RULE_KINDS.items():
+        if isinstance(rule, cls):
+            return {"kind": kind, **vars(rule)}
+    raise ValidationError(f"unknown termination rule {rule!r}")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
     if not isinstance(doc, dict):
         raise ParseError(f"config root must be an object, got {type(doc).__name__}")
-    known = {
-        "params",
-        "strategy",
-        "mode",
-        "trials",
-        "seed",
-        "output_path",
-        "output_format",
-        "eta_det",
-        "rule",
-        "sweep",
-        "bias_max_rounds",
-    }
+    known = {f.name for f in dataclasses.fields(RunConfig)}
     for key in doc:
         if key not in known:
             raise ParseError(f"unknown field {key!r} in config")
@@ -241,19 +210,9 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ParseError("sweep 'values' must be an array")
         sweep = SweepSpec(axis=axis, values=tuple(values))
 
-    return RunConfig(
-        params=params,
-        strategy=strategy,
-        mode=mode,
-        trials=doc.get("trials", 1),
-        seed=doc.get("seed", 0),
-        output_path=doc.get("output_path", "-"),
-        output_format=doc.get("output_format", "json"),
-        eta_det=doc.get("eta_det", 1.0),
-        rule=rule,
-        sweep=sweep,
-        bias_max_rounds=doc.get("bias_max_rounds", 6),
-    )
+    # The other fields are plain values; RunConfig has the defaults of those left out.
+    parsed = {"params": params, "strategy": strategy, "mode": mode, "rule": rule, "sweep": sweep}
+    return RunConfig(**{**doc, **parsed})
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -504,6 +463,18 @@ def _sweep_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
     return {"axis": cfg.sweep.axis, "rows": rows}, header, csv_rows
 
 
+# The runner of each mode, which gives the artifact's results, CSV header and rows.
+_RUNNERS: dict[str, Callable[[RunConfig], tuple[dict, list[str], Iterable[Sequence]]]] = {
+    "actual": _session_mode,
+    "virtual": _session_mode,
+    "estimation": _estimation_mode,
+    "coverage": _coverage_mode,
+    "bias": _bias_mode,
+    "keyrate-sweep": _sweep_mode,
+}
+MODES = tuple(_RUNNERS)
+
+
 # ---------------------------------------------------------------------------
 # Report emission
 
@@ -589,16 +560,7 @@ def emit_report(
 
 def run(cfg: RunConfig) -> int:
     """Dispatch one validated config and write its artifact."""
-    if cfg.mode in ("actual", "virtual"):
-        results, header, rows = _session_mode(cfg)
-    elif cfg.mode == "estimation":
-        results, header, rows = _estimation_mode(cfg)
-    elif cfg.mode == "coverage":
-        results, header, rows = _coverage_mode(cfg)
-    elif cfg.mode == "bias":
-        results, header, rows = _bias_mode(cfg)
-    else:
-        results, header, rows = _sweep_mode(cfg)
+    results, header, rows = _RUNNERS[cfg.mode](cfg)
     envelope = {
         "schema": SCHEMA_TAG,
         "config": config_to_dict(cfg),

@@ -52,9 +52,10 @@ def azuma_tail(n: int, delta: float) -> AzumaBound:
     A deviation of n * delta has probability at most exp(-n * delta**2 / 2)
     per side; ``eta`` is the union over both sides.
     """
-    if n < 1:
-        raise DomainError(f"round count must be >= 1, got {n}")
-    if not delta >= 0.0:  # a NaN fails too
+    # Each check is written so that a NaN fails it.
+    if not n >= 1:
+        raise DomainError(f"round count must be >= 1, got {n!r}")
+    if not delta >= 0.0:
         raise DomainError(f"delta must be >= 0, got {delta!r}")
     eta_single = math.exp(-n * delta * delta / 2.0)
     return AzumaBound(n=n, delta=delta, eta_single=eta_single, eta=2.0 * eta_single)
@@ -75,8 +76,8 @@ def phase_error_bound(
         raise DomainError("q_x must be positive to scale the observed errors")
     if not (q_z >= 0.0 and wt_x >= 0.0):
         raise DomainError("q_z and wt_x must be >= 0")
-    if n < 1:
-        raise DomainError(f"round count must be >= 1, got {n}")
+    if not n >= 1:
+        raise DomainError(f"round count must be >= 1, got {n!r}")
     if not delta >= 0.0:
         raise DomainError(f"delta must be >= 0, got {delta!r}")
     ratio = q_z / q_x
@@ -116,9 +117,9 @@ def key_length(
     ``e_ph_bar`` of 1/2 or more zeroes the entropy term (the bound is
     vacuous beyond that point).
     """
-    if n_z < 0:
-        raise DomainError(f"n_z must be >= 0, got {n_z}")
     # Each check is written so that a NaN fails it.
+    if not 0 <= n_z < math.inf:
+        raise DomainError(f"n_z must be finite and >= 0, got {n_z!r}")
     if not e_ph_bar >= 0.0:
         raise DomainError(f"e_ph_bar must be >= 0, got {e_ph_bar!r}")
     if not 0.0 < eps_s < 1.0:
@@ -127,8 +128,8 @@ def key_length(
         raise DomainError(f"eps_c must be in (0, 1), got {eps_c!r}")
     if not eta >= 0.0:
         raise DomainError(f"eta must be >= 0, got {eta!r}")
-    if lambda_ec < 0:
-        raise DomainError(f"lambda_ec must be >= 0, got {lambda_ec}")
+    if not 0 <= lambda_ec < math.inf:
+        raise DomainError(f"lambda_ec must be finite and >= 0, got {lambda_ec!r}")
     if eps_s * eps_s <= eta:
         raise SecurityParameterError(
             f"eps_s**2 = {eps_s * eps_s:.3e} must exceed eta = {eta:.3e}"
@@ -157,8 +158,11 @@ def key_length(
 
 def ec_syndrome_cost(n_z: int, error_rate: float, f_ec: float) -> int:
     """Bits disclosed by error correction: ceil(f_ec * n_z * h(error_rate))."""
-    if f_ec < 1.0:
-        raise DomainError(f"f_ec must be >= 1, got {f_ec!r}")
+    # Each check is written so that a NaN fails it.
+    if not n_z >= 0:
+        raise DomainError(f"n_z must be >= 0, got {n_z!r}")
+    if not 1.0 <= f_ec < math.inf:
+        raise DomainError(f"f_ec must be finite and >= 1, got {f_ec!r}")
     return math.ceil(f_ec * n_z * binary_entropy(error_rate))
 
 

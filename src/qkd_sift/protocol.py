@@ -40,8 +40,9 @@ between them; only a transcript needs the start of every round.
 ``_REPLAY_MIN_DETECTIONS`` detections and ``batch_size`` 1 this way, and
 :func:`replay_counter` gives the estimation counters of coverage trials at
 any batch size: the walk ends at the n-th detection, and rounds in flight
-past it change no counter.  A replay returns what the loop returns and
-leaves the stream where the loop leaves it.  Custom strategies, the
+past it change no counter.  A replay returns what the loop returns.  Only
+:func:`_replay_session` also leaves the stream where the loop leaves it;
+:func:`replay_counter` may leave it elsewhere.  Custom strategies, the
 per-basis quota rule, and short or batched sessions run the loop.
 """
 
@@ -366,10 +367,10 @@ def derive_stream(master_seed: int, index: int) -> RandomStream:
     injective over (u64 seed, index), so a trial's stream depends on its
     index alone, not on which trials ran before it.
     """
-    if not 0 <= master_seed < 2**64:
+    if not (is_int(master_seed) and 0 <= master_seed < 2**64):
         raise ValidationError(f"master seed must be a u64, got {master_seed!r}")
-    if index < 0:
-        raise ValidationError(f"trial index must be >= 0, got {index}")
+    if not (is_int(index) and index >= 0):
+        raise ValidationError(f"trial index must be an integer >= 0, got {index!r}")
     return random.Random((master_seed << 64) + index)
 
 
@@ -386,10 +387,10 @@ def _eve_stream(rng: RandomStream) -> RandomStream:
 
 
 class _ActualLaw(NamedTuple):
-    # p_deliver[bit][basis_index]
-    p_deliver: tuple[tuple[float, float], tuple[float, float]]
-    # outcome_cum[bit][basis_a_index][basis_b_index] = (P(bob=0), P(bob in {0,1}))
-    outcome_cum: tuple
+    # A basis counts 0 for Z and 1 for X.  p_deliver[2 * bit + basis_a]
+    p_deliver: tuple[float, ...]
+    # outcome_cum[4 * bit + 2 * basis_a + basis_b] = (P(bob=0), P(bob in {0,1}))
+    outcome_cum: tuple[tuple[float, float], ...]
 
 
 class _VirtualLaw(NamedTuple):
@@ -414,15 +415,12 @@ def _actual_law(povm: BobPOVM, op: ChannelOp) -> _ActualLaw:
     p_deliver = []
     outcome_cum = []
     for bit in (0, 1):
-        p_row = []
-        cum_row = []
         for basis in (Basis.Z, Basis.X):
             p_del, rho_del, _ = qubit_channel_branches(source_state(bit, basis), op)
-            p_row.append(p_del)
+            p_deliver.append(p_del)
             if rho_del is None:
-                cum_row.append(((0.0, 0.0), (0.0, 0.0)))
+                outcome_cum += [(0.0, 0.0)] * 2
                 continue
-            per_bob = []
             for bob_basis in (Basis.Z, Basis.X):
                 p0, p1, p_fail = qubit_outcome_probs(rho_del, bob_basis, povm)
                 total = p0 + p1 + p_fail
@@ -430,10 +428,7 @@ def _actual_law(povm: BobPOVM, op: ChannelOp) -> _ActualLaw:
                     raise NormalizationError(
                         f"three-outcome probabilities sum to {total!r}"
                     )
-                per_bob.append((p0, p0 + p1))
-            cum_row.append(tuple(per_bob))
-        p_deliver.append(tuple(p_row))
-        outcome_cum.append(tuple(cum_row))
+                outcome_cum.append((p0, p0 + p1))
     return _ActualLaw(tuple(p_deliver), tuple(outcome_cum))
 
 
@@ -642,12 +637,13 @@ def _session(
             if actual:
                 a_is_z = rand() < p_z_a
                 a_bit = getrandbits(1)
-                delivered = rand() < law.p_deliver[a_bit][0 if a_is_z else 1]
+                code = 2 * a_bit + (not a_is_z)  # as _ActualLaw indexes p_deliver
+                delivered = rand() < law.p_deliver[code]
                 b_is_z = rand() < p_z_b
                 detected = False
                 b_bit = 0
                 if delivered:
-                    c0, c1 = law.outcome_cum[a_bit][0 if a_is_z else 1][0 if b_is_z else 1]
+                    c0, c1 = law.outcome_cum[2 * code + (not b_is_z)]
                     u = rand()
                     if u < c0:
                         detected = True
@@ -781,7 +777,9 @@ def replay_counter(
     ``run_estimation(params, eve, stream, povm)``.  The function replays the
     session's draws in NumPy (:func:`_replay_counts`) and gives the same
     numbers.  It exists only when :func:`_replayer` allows a replay;
-    otherwise this returns None.
+    otherwise this returns None.  Unlike :func:`_replay_session`, it does
+    not give back the words it draws past the session, so unless every
+    round is a detection it leaves the stream elsewhere than the loop.
     """
     return _replayer(params, eve, povm if povm is not None else ideal_povm(), _ESTIMATION)
 
@@ -802,8 +800,8 @@ def _replayer(
 
     A replay needs ``eve.schedule``, and laws of all of ``eve.ops`` under
     which the draws that decide a round do not depend on the op: in the
-    actual picture the same ``p_deliver[bit][basis]`` and probability that
-    Bob detects, for every bit and pair of bases; otherwise the same
+    actual picture the same ``p_deliver`` and probability that Bob detects,
+    for every bit and pair of bases; otherwise the same
     ``(p_deliver, p_detect)``.  A round must also detect with positive
     probability, so all-loss laws run the loop.  A replay stops at the n-th
     detection, so the actual and virtual pictures, which announce the
@@ -814,20 +812,12 @@ def _replayer(
     if picture is _ACTUAL:
         laws = [_actual_law(povm, op) for op in eve.ops]
         shared = {(law.p_deliver, _detection(law)) for law in laws}
-        law = laws[0]
         a_probs = (params.p_z_a, params.p_x_a)
         b_probs = (params.p_z_b, params.p_x_b)
-        p_deliver = sum(
-            p_a * 0.5 * law.p_deliver[bit][a]
-            for a, p_a in enumerate(a_probs)
-            for bit in (0, 1)
-        )
-        p_hit = sum(
-            p_a * 0.5 * law.p_deliver[bit][a] * p_b * max(law.outcome_cum[bit][a][b])
-            for a, p_a in enumerate(a_probs)
-            for bit in (0, 1)
-            for b, p_b in enumerate(b_probs)
-        )
+        # By the codes of _ActualLaw: 2 * bit + Alice's basis, then Bob's basis.
+        sent = [0.5 * a_probs[c & 1] * p for c, p in enumerate(laws[0].p_deliver)]
+        p_deliver = sum(sent)
+        p_hit = sum(sent[c >> 1] * b_probs[c & 1] * d for c, d in enumerate(_detection(laws[0])))
     else:
         laws = [_virtual_law(povm, op) for op in eve.ops]
         shared = {(law.p_deliver, law.p_detect) for law in laws}
@@ -853,17 +843,9 @@ def _replayer(
     return functools.partial(_replay_counts, params, eve.schedule, laws[0], tally, per_detection)
 
 
-def _outcome_cums(law: _ActualLaw) -> list[tuple[float, float]]:
-    """``law.outcome_cum`` by 4 * bit + 2 * Alice's basis + Bob's basis.
-
-    A basis counts 0 for Z and 1 for X.
-    """
-    return [cum for per_bit in law.outcome_cum for per_a in per_bit for cum in per_a]
-
-
 def _detection(law: _ActualLaw) -> tuple[float, ...]:
-    """The readouts below which Bob detects, as :func:`_outcome_cums` orders them."""
-    return tuple(max(cum) for cum in _outcome_cums(law))
+    """The readouts below which Bob detects, in the order of ``law.outcome_cum``."""
+    return tuple(max(cum) for cum in law.outcome_cum)
 
 
 def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
@@ -1077,8 +1059,7 @@ def _replay_session(
     stream = _Words(rng)
     p_z_a, p_z_b = params.p_z_a, params.p_z_b
     if picture is _ACTUAL:
-        # By 2 * bit + Alice's basis, as in _outcome_cums.
-        deliver = np.array(laws[0].p_deliver).ravel()
+        deliver = np.array(laws[0].p_deliver)
         detect = np.array(_detection(laws[0]))
 
         def delivery(w, limit):
@@ -1150,7 +1131,7 @@ def _replay_session(
     if picture is _ACTUAL:
         a_bits, readout = rest
         # Bob reads 0 below P(bob=0) of the round's law, else 1.
-        bob_zero = np.array([[cum[0] for cum in _outcome_cums(law)] for law in laws])
+        bob_zero = np.array([[cum[0] for cum in law.outcome_cum] for law in laws])
         code = 4 * a_bits.astype(np.intp) + 2 * ~a_z + ~b_z
         b_bits = (readout >= bob_zero[op, code]).astype(np.uint8)
         z, x = zz, xx
@@ -1437,13 +1418,20 @@ def bits_to_hex(bits: np.ndarray) -> str:
 
 def hex_to_bits(hex_str: str, n_bits: int) -> np.ndarray:
     """Unpack ``n_bits`` bits from hex as :func:`bits_to_hex` writes them."""
-    if n_bits < 0:
-        raise ValidationError(f"bit length must be >= 0, got {n_bits}")
+    if not (is_int(n_bits) and n_bits >= 0):
+        raise ValidationError(f"bit length must be an integer >= 0, got {n_bits!r}")
+    if not isinstance(hex_str, str):
+        raise ValidationError(f"hex bits must be a string, got {type(hex_str).__name__}")
     n_digits = 2 * -(-n_bits // 8)
     if len(hex_str) != n_digits:
         raise ValidationError(f"{n_bits} bits take {n_digits} hex digits, got {len(hex_str)}")
-    raw = np.frombuffer(bytes.fromhex(hex_str), dtype=np.uint8)
-    return np.unpackbits(raw)[:n_bits].astype(np.uint8)
+    try:
+        raw = bytes.fromhex(hex_str)
+    except ValueError as exc:
+        raise ValidationError(f"not a string of hex digits: {exc}") from exc
+    if 2 * len(raw) != n_digits:  # fromhex skips whitespace
+        raise ValidationError("whitespace among the hex digits")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n_bits].astype(np.uint8)
 
 
 def transcript_counts(transcript: Transcript) -> dict:

@@ -27,6 +27,7 @@ from qkd_sift.cli import (
     main,
     render_report,
     rule_from_dict,
+    rule_to_dict,
     run,
 )
 from qkd_sift import protocol
@@ -109,12 +110,17 @@ def test_rule_from_dict_errors():
         rule_from_dict({"n": 4})
     with pytest.raises(ParseError, match="unknown rule kind"):
         rule_from_dict({"kind": "until_tuesday"})
+    for kind in (["count_detected"], {}, None):  # no string, so no key of the kind table
+        with pytest.raises(ParseError, match="unknown rule kind"):
+            rule_from_dict({"kind": kind, "n": 4})
     with pytest.raises(ParseError, match="bad fields"):
         rule_from_dict({"kind": "count_detected", "m": 4})
     assert rule_from_dict({"kind": "count_detected", "n": 4}) == CountDetected(4)
     assert rule_from_dict(
         {"kind": "count_per_basis", "n_z_req": 2, "n_x_req": 1}
     ) == CountPerBasis(2, 1)
+    for rule in (CountDetected(4), CountPerBasis(2, 1)):
+        assert rule_from_dict(rule_to_dict(rule)) == rule
 
 
 def test_sweep_spec_validation():

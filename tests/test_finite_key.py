@@ -120,8 +120,9 @@ _TWO_TRIALS = TrialStats(
 )
 
 
-# Each call once passed a NaN through: no violations, eta = nan, a nan
-# bound, or a bare ValueError from math.floor.
+# Each call once passed a NaN, an infinity or a negative count through: no
+# violations, eta = nan, a nan bound, a negative syndrome cost, or a bare
+# ValueError or OverflowError from math.floor or math.ceil.
 @pytest.mark.parametrize(
     "call",
     [
@@ -133,6 +134,13 @@ _TWO_TRIALS = TrialStats(
         lambda: phase_error_bound(_NAN, 0.5, 0.5, 100, 0.1),
         lambda: key_length(1000, 0.0, 1e-10, _NAN, 0, 1e-10),
         lambda: key_length(1000, _NAN, 1e-10, 1e-21, 0, 1e-10),
+        lambda: key_length(1000, 0.0, 1e-10, 1e-21, _NAN, 1e-10),
+        lambda: key_length(1000, 0.0, 1e-10, 1e-21, math.inf, 1e-10),
+        lambda: azuma_tail(_NAN, 0.1),
+        lambda: phase_error_bound(1, 0.5, 0.5, _NAN, 0.1),
+        lambda: ec_syndrome_cost(100, 0.1, _NAN),
+        lambda: ec_syndrome_cost(100, 0.1, math.inf),
+        lambda: ec_syndrome_cost(-5, 0.1, 1.2),
     ],
     ids=[
         "coverage_report-delta",
@@ -143,6 +151,13 @@ _TWO_TRIALS = TrialStats(
         "phase_error_bound-wt_x",
         "key_length-eta",
         "key_length-e_ph_bar",
+        "key_length-lambda_ec",
+        "key_length-lambda_ec-inf",
+        "azuma_tail-n",
+        "phase_error_bound-n",
+        "ec_syndrome_cost-f_ec",
+        "ec_syndrome_cost-f_ec-inf",
+        "ec_syndrome_cost-negative-n_z",
     ],
 )
 def test_domain_checks_refuse_nan(call):

@@ -108,17 +108,19 @@ def _cases() -> dict[str, dict]:
                 "rule": rule,
                 "bias_max_rounds": k,
             }
-    # Thousands of transcript rows: lossy, batched sessions on an imperfect
-    # detector, with the full transcript attached (trials 1).
+    # Thousands of transcript rows: lossy sessions on an imperfect detector,
+    # with the full transcript attached (trials 1).  Batched sessions run the
+    # round loop; at batch 1 a session of 512 or more detections is replayed.
     for mode in ("actual", "virtual"):
-        cases[f"{mode}-scale-n2000-batch7-eta0.8"] = {
-            "mode": mode,
-            "params": SCALE_PARAMS,
-            "strategy": STRATEGIES["depolarizing"],
-            "trials": 1,
-            "seed": 13,
-            "eta_det": 0.8,
-        }
+        for batch in (7, 1):
+            cases[f"{mode}-scale-n2000-batch{batch}-eta0.8"] = {
+                "mode": mode,
+                "params": {**SCALE_PARAMS, "batch_size": batch},
+                "strategy": STRATEGIES["depolarizing"],
+                "trials": 1,
+                "seed": 13,
+                "eta_det": 0.8,
+            }
     # Coverage trials of many long sessions.  At delta 0 a trial counts as a
     # violation whenever its error count reaches its summed probability, so
     # about half the trials flip on any change to a count or a sum.

@@ -142,6 +142,15 @@ def test_derive_stream_validation():
         derive_stream(0, -1)
 
 
+@pytest.mark.parametrize(
+    "seed, index", [(1, 0.5), (True, 0), (0, True), (1.0, 0), ("1", 0), (0, None)]
+)
+def test_derive_stream_refuses_a_seed_or_index_that_is_no_int(seed, index):
+    # random.Random would seed itself from any of these.
+    with pytest.raises(ValidationError):
+        derive_stream(seed, index)
+
+
 # -- termination and announcement structure -----------------------------------
 
 
@@ -422,15 +431,16 @@ def test_session_kernel_matches_the_oracle_laws(op_name, eta):
         for ai, basis_a in enumerate(("Z", "X")):
             prep = (0.6 if basis_a == "Z" else 0.4) * 0.5
             p_lost = oracle[(basis_a, bit, None, None)] / prep
-            assert law.p_deliver[bit][ai] == pytest.approx(1.0 - p_lost, abs=1e-12)
-            if law.p_deliver[bit][ai] == 0.0:
+            p_deliver = law.p_deliver[2 * bit + ai]
+            assert p_deliver == pytest.approx(1.0 - p_lost, abs=1e-12)
+            if p_deliver == 0.0:
                 continue
             for bi, basis_b in enumerate(("Z", "X")):
                 p_b = 0.4 if basis_b == "Z" else 0.6
-                scale = prep * p_b * law.p_deliver[bit][ai]
+                scale = prep * p_b * p_deliver
                 p0 = oracle[(basis_a, bit, basis_b, 0)] / scale
                 p1 = oracle[(basis_a, bit, basis_b, 1)] / scale
-                c0, c1 = law.outcome_cum[bit][ai][bi]
+                c0, c1 = law.outcome_cum[4 * bit + 2 * ai + bi]
                 assert c0 == pytest.approx(p0, abs=1e-12)
                 assert c1 == pytest.approx(p0 + p1, abs=1e-12)
 
@@ -903,12 +913,19 @@ def test_bits_hex_round_trip(bits):
 
 @pytest.mark.parametrize(
     "hex_str, n_bits",
-    [("ff", 12), ("", 1), ("ffff", 8), ("ff0", 12), ("ff", -1), ("", -8)],
-    ids=["short", "empty", "long", "odd-length", "negative", "negative-empty"],
+    [
+        ("ff", 12), ("", 1), ("ffff", 8), ("ff0", 12), ("ff", -1), ("", -8),
+        ("zz", 8), (" ff ", 9), (b"ff", 8), (None, 0), ("ff", 8.0), ("ff", True),
+    ],
+    ids=[
+        "short", "empty", "long", "odd-length", "negative", "negative-empty",
+        "not-hex", "whitespace", "bytes", "null", "float-length", "bool-length",
+    ],
 )
 def test_hex_to_bits_rejects_a_length_mismatch(hex_str, n_bits):
     # bits_to_hex writes exactly ceil(n_bits / 8) bytes; anything else is refused
-    # rather than decoded to an array of another length.
+    # rather than decoded to an array of another length.  bytes.fromhex skips
+    # whitespace, so " ff " would decode to one byte, short of 9 bits.
     with pytest.raises(ValidationError):
         hex_to_bits(hex_str, n_bits)
 

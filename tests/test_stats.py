@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
+import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -331,6 +332,61 @@ def test_azuma_coverage_smoke():
     # should be far below the bound for an honest martingale
     assert rep.violations_ph / 150 <= rep.eta_claimed + 0.1
     assert rep.violations_xerr / 150 <= rep.eta_claimed + 0.1
+
+
+# -- coverage counters against their exact law -----------------------------------
+
+# Under a constant op every detected round has the same phase-error weight t,
+# and the stopping rule counts detections whatever their bases.  So over n
+# detections lambda_ph ~ Binomial(n, q_z * t) and lambda_xerr ~ Binomial(n,
+# q_x * t) exactly, and each sum of probabilities is n times the round's.
+# Azuma's bound is far too loose to tell a simulator that miscounts errors
+# from a right one; the exact law is not.
+_EXACT_T = 0.075  # Depolarizing(0.15): an X readout errs with probability p / 2
+_EXACT_TAIL = 1e-2
+
+
+def _exact_level(n: int, p: float, mean: float, upper: bool) -> tuple[float, float]:
+    """The delta at which a one-sided check of a Binomial(n, p) count fails
+    with probability at most about ``_EXACT_TAIL``, and that exact probability.
+
+    ``upper`` is the phase-error side (``count - mean >= n * delta``);
+    otherwise the X-error side (``mean - count >= n * delta``), where
+    ``mean`` is the trials' sum of probabilities.  The threshold is an
+    integer count k, and delta puts ``n * delta`` half a count from it, so
+    no trial sits on ``coverage_report``'s float comparison.
+    """
+    law = scipy.stats.binom(n, p)
+    if upper:  # fails at count >= k
+        k = int(law.isf(_EXACT_TAIL)) + 1
+        return (k - 0.5 - mean) / n, float(law.sf(k - 1))
+    k = int(law.ppf(_EXACT_TAIL)) - 1  # fails at count <= k
+    return (mean - k - 0.5) / n, float(law.cdf(k))
+
+
+@pytest.mark.parametrize(
+    "engine, n, trials, seed", [("replay", 2000, 4000, 46), ("round-loop", 400, 1000, 47)]
+)
+def test_coverage_counters_follow_their_exact_binomial_law(engine, n, trials, seed):
+    strategy = make_strategy(Depolarizing(0.15))
+    if engine == "round-loop":  # no schedule, so every trial runs run_estimation
+        strategy = EveStrategy(label=strategy.label, behavior=strategy.behavior)
+    params = _params(n=n, p_z=0.6)  # q_z 0.36 and q_x 0.16 tell the two counters apart
+    assert (replay_counter(params, strategy) is not None) == (engine == "replay")
+    stats = coverage_trials(params, strategy, trials, random.Random(seed))
+    sides = (
+        ("ph", params.q_z, stats.sum_p_ph, True),
+        ("xerr", params.q_x, stats.sum_p_xerr, False),
+    )
+    for side, q, sums, upper in sides:
+        p = q * _EXACT_T
+        assert np.all(sums == sums[0]) and sums[0] == pytest.approx(n * p, rel=1e-12), side
+        delta, tail = _exact_level(n, p, float(sums[0]), upper)
+        assert 2e-3 < tail <= _EXACT_TAIL, side
+        report = coverage_report(stats, delta)
+        violations = getattr(report, f"violations_{side}")
+        test = scipy.stats.binomtest(violations, trials, tail)
+        assert test.pvalue > 1e-3, (side, violations, trials, tail, report.eta_claimed)
 
 
 # -- exact enumeration -----------------------------------------------------------
