@@ -29,7 +29,8 @@ called as ``schedule(detected, basis_b, draws)`` once per session, after the
 fact:
 
 * ``detected`` is a bool array with one entry per emitted round, up to and
-  including the last detection the session counts;
+  including the last detection the session counts, or None when every
+  emitted round is a detection;
 * ``basis_b`` is Bob's basis of each of those detected rounds, as
   ``Basis.value`` (uint8);
 * ``draws(k)`` returns the next ``k`` ``random()`` values of the adversary's
@@ -45,10 +46,22 @@ sessions of :func:`~qkd_sift.protocol.run_actual` and
 has the same delivery and detection probabilities under the detector, so
 that the draws that decide a round do not depend on the op.  Otherwise, as
 for every ``EveStrategy(label, behavior)``, sessions run the round loop.
+
+The adaptive tracker's window moves only at detections, so its schedule
+finds the window's state once per number of detections so far: the Z count
+of the window by subtracting two slices of the running Z count.  Its laws
+(the attack probability, whether a round draws, the op of an attack) come
+from ``behavior``'s own float operations, on each state of the first
+``window`` detections, where the window is still filling, and then from a
+table of the ``window + 1`` states of a full window, built the first time a
+session of more than ``window`` detections asks for it.  So nothing the
+schedule builds outgrows the session, however large the window.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Literal, Union
 
@@ -168,8 +181,8 @@ class AdaptiveBasisTracker:
     def __post_init__(self) -> None:
         if not is_int(self.window) or self.window < 1:
             raise ConfigError(f"window must be an integer >= 1, got {self.window!r}")
-        if not (is_real(self.bias_gain) and self.bias_gain >= 0.0):
-            raise ConfigError(f"bias_gain must be a number >= 0, got {self.bias_gain!r}")
+        if not (is_real(self.bias_gain) and 0.0 <= self.bias_gain < math.inf):
+            raise ConfigError(f"bias_gain must be a finite number >= 0, got {self.bias_gain!r}")
 
 
 StrategyConfig = Union[IdentityLossy, Depolarizing, InterceptResend, AdaptiveBasisTracker]
@@ -193,9 +206,14 @@ class EveStrategy:
     schedule: Schedule | None = field(default=None, compare=False)
 
 
-def _first_op(detected: np.ndarray, basis_b: np.ndarray, draws) -> np.ndarray:
+def _rounds(detected: np.ndarray | None, basis_b: np.ndarray) -> int:
+    """The number of emitted rounds a schedule is asked about."""
+    return len(basis_b) if detected is None else len(detected)
+
+
+def _first_op(detected: np.ndarray | None, basis_b: np.ndarray, draws) -> np.ndarray:
     """Schedule of a strategy that returns ``ops[0]`` every round."""
-    return np.zeros(len(detected), dtype=np.intp)
+    return np.zeros(_rounds(detected, basis_b), dtype=np.intp)
 
 
 def _constant(label: str, op: ChannelOp) -> EveStrategy:
@@ -228,9 +246,9 @@ def make_strategy(cfg: StrategyConfig) -> EveStrategy:
         def behavior(prefix: "Transcript", rng: RandomStream) -> ChannelOp:
             return dephase_z if rng.random() < q else dephase_x
 
-        def schedule(detected: np.ndarray, basis_b: np.ndarray, draws) -> np.ndarray:
+        def schedule(detected: np.ndarray | None, basis_b: np.ndarray, draws) -> np.ndarray:
             # One draw per emitted round: index 0 (Z) below q, else 1 (X).
-            return (draws(len(detected)) >= q).astype(np.intp)
+            return (draws(_rounds(detected, basis_b)) >= q).astype(np.intp)
 
         return EveStrategy(
             label=label, behavior=behavior, ops=(dephase_z, dephase_x), schedule=schedule
@@ -257,24 +275,44 @@ def make_strategy(cfg: StrategyConfig) -> EveStrategy:
                 return identity
             return dephase[Basis.Z if f_z > 0.5 else Basis.X]
 
-        def schedule(detected: np.ndarray, basis_b: np.ndarray, draws) -> np.ndarray:
-            # The window moves only at detections, so it is computed once per
-            # k = number of detections so far, with the same float operations
-            # as ``behavior``, and then read off per emitted round.
-            z_count = np.zeros(len(basis_b) + 1, dtype=np.int64)
-            np.cumsum(basis_b == z_value, out=z_count[1:])
-            k = np.arange(len(z_count))
-            lo = np.maximum(k - window, 0)
-            seen = k - lo
-            f_z = (z_count - z_count[lo]) / np.maximum(seen, 1)
+        def attack_laws(z: np.ndarray, seen) -> tuple[np.ndarray, np.ndarray]:
+            # Per window state, with the float operations of ``behavior``:
+            # the attack probability capped at 1, which draws where it is
+            # above 0, and the op of an attack (1 dephase in Z, 2 in X).
+            f_z = z / seen
             p_attack = gain * np.abs(2.0 * f_z - 1.0)
-            before = np.cumsum(detected) - detected
-            draw = ((seen > 0) & (p_attack > 0.0))[before]
-            u = np.ones(len(detected))
+            return np.minimum(p_attack, 1.0), np.where(f_z > 0.5, 1, 2)
+
+        @functools.cache
+        def full_window() -> tuple[np.ndarray, np.ndarray]:
+            # A full window's state is its Z count alone, so past the first
+            # ``window`` detections the laws are looked up in this table of
+            # ``window + 1`` rows, built when a session first gets there.
+            return attack_laws(np.arange(window + 1), window)
+
+        def schedule(detected: np.ndarray | None, basis_b: np.ndarray, draws) -> np.ndarray:
+            # The window moves only at detections, so its state is found once
+            # per k = number of detections so far, k < n as the n-th detection
+            # ends the session, and then read off per emitted round.
+            n = len(basis_b)
+            z_count = np.zeros(n + 1, dtype=np.intp)
+            np.add.accumulate(basis_b == z_value, out=z_count[1:])
+            head = min(n, window)  # the states whose window is still filling
+            cut = np.zeros(n)  # no draw at k = 0, an empty window
+            side = np.zeros(n, dtype=np.intp)
+            cut[1:head], side[1:head] = attack_laws(z_count[1:head], np.arange(1, head))
+            if n > window:
+                full_cut, full_side = full_window()
+                z = z_count[window:n] - z_count[: n - window]
+                cut[window:], side[window:] = full_cut[z], full_side[z]
+            if detected is not None:
+                before = np.cumsum(detected) - detected
+                cut, side = cut[before], side[before]
+            draw = cut > 0.0
+            u = np.ones(len(cut))
             u[draw] = draws(int(np.count_nonzero(draw)))
-            attack = draw & (u < np.minimum(p_attack, 1.0)[before])
             # ops: 0 identity, 1 dephase in Z, 2 dephase in X.
-            return np.where(attack, np.where(f_z > 0.5, 1, 2)[before], 0)
+            return np.where(u < cut, side, 0)
 
         return EveStrategy(
             label=f"adaptive_basis_tracker(window={window},bias_gain={gain:g})",

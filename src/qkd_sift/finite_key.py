@@ -18,6 +18,7 @@ exceed eta or no key length is defined at all.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,6 +37,21 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _count(value: object, name: str, least: int) -> int:
+    """``value`` as a count of at least ``least``: an int or NumPy integer, not a bool.
+
+    Anything else raises :class:`DomainError`, a float too, however whole:
+    ``inf`` rounds would claim a bound that never fails.
+    """
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class AzumaBound:
     """Failure probabilities of the two one-sided concentration bounds."""
@@ -52,9 +68,8 @@ def azuma_tail(n: int, delta: float) -> AzumaBound:
     A deviation of n * delta has probability at most exp(-n * delta**2 / 2)
     per side; ``eta`` is the union over both sides.
     """
+    n = _count(n, "round count", 1)
     # Each check is written so that a NaN fails it.
-    if not n >= 1:
-        raise DomainError(f"round count must be >= 1, got {n!r}")
     if not delta >= 0.0:
         raise DomainError(f"delta must be >= 0, got {delta!r}")
     eta_single = math.exp(-n * delta * delta / 2.0)
@@ -71,13 +86,12 @@ def phase_error_bound(
 
         (q_z / q_x) * wt_x + (q_z / q_x + 1) * n * delta
     """
+    n = _count(n, "round count", 1)
     # Each check is written so that a NaN fails it.
     if not q_x > 0.0:
         raise DomainError("q_x must be positive to scale the observed errors")
     if not (q_z >= 0.0 and wt_x >= 0.0):
         raise DomainError("q_z and wt_x must be >= 0")
-    if not n >= 1:
-        raise DomainError(f"round count must be >= 1, got {n!r}")
     if not delta >= 0.0:
         raise DomainError(f"delta must be >= 0, got {delta!r}")
     ratio = q_z / q_x
@@ -117,9 +131,8 @@ def key_length(
     ``e_ph_bar`` of 1/2 or more zeroes the entropy term (the bound is
     vacuous beyond that point).
     """
+    n_z = _count(n_z, "n_z", 0)
     # Each check is written so that a NaN fails it.
-    if not 0 <= n_z < math.inf:
-        raise DomainError(f"n_z must be finite and >= 0, got {n_z!r}")
     if not e_ph_bar >= 0.0:
         raise DomainError(f"e_ph_bar must be >= 0, got {e_ph_bar!r}")
     if not 0.0 < eps_s < 1.0:
@@ -158,9 +171,8 @@ def key_length(
 
 def ec_syndrome_cost(n_z: int, error_rate: float, f_ec: float) -> int:
     """Bits disclosed by error correction: ceil(f_ec * n_z * h(error_rate))."""
+    n_z = _count(n_z, "n_z", 0)
     # Each check is written so that a NaN fails it.
-    if not n_z >= 0:
-        raise DomainError(f"n_z must be >= 0, got {n_z!r}")
     if not 1.0 <= f_ec < math.inf:
         raise DomainError(f"f_ec must be finite and >= 1, got {f_ec!r}")
     return math.ceil(f_ec * n_z * binary_entropy(error_rate))

@@ -40,7 +40,11 @@ between them; only a transcript needs the start of every round.
 ``_REPLAY_MIN_DETECTIONS`` detections and ``batch_size`` 1 this way, and
 :func:`replay_counter` gives the estimation counters of coverage trials at
 any batch size: the walk ends at the n-th detection, and rounds in flight
-past it change no counter.  A replay returns what the loop returns.  Only
+past it change no counter.  When every round is a detection (no loss, an
+ideal detector) there is no walk: the session's words are one block of ten
+per round, the basis draws are tested on them as masks, and only the X
+readout becomes a ``random()`` value.  A replay returns what the loop
+returns.  Only
 :func:`_replay_session` also leaves the stream where the loop leaves it;
 :func:`replay_counter` may leave it elsewhere.  Custom strategies, the
 per-basis quota rule, and short or batched sessions run the loop.
@@ -615,8 +619,11 @@ def _session(
     t_index: dict[float, int] = {}
     n_det = 0
     idx = 0
+    # The laws of the strategy's own ops, found once by identity: an op that
+    # flips between them (the adaptive tracker's) hashes no matrix bytes.
     # The last op and its law: most strategies return one op all session, so
-    # the law cache is asked only when the op changes.
+    # the lookup runs only when the op changes.
+    known = {id(op): law_of(povm, op) for op in eve.ops}
     last_op = law = None
 
     while n_det < det_target or len(az) < nz_req or len(ax) < nx_req:
@@ -630,7 +637,9 @@ def _session(
             idx += 1
             op = behavior(transcript, eve_rng)
             if op is not last_op:
-                law = law_of(povm, op)
+                law = known.get(id(op))
+                if law is None:  # an op outside ``eve.ops``
+                    law = law_of(povm, op)
                 last_op = op
                 if estimation:
                     law_code = t_index.setdefault(law.t_phase, len(t_index))
@@ -878,26 +887,54 @@ def _to_random(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return ((hi >> 5) * 67108864.0 + (lo >> 6)) * (1.0 / 9007199254740992.0)
 
 
+def _threshold(p: float) -> tuple[int, int]:
+    """Where ``random()`` from words ``hi`` then ``lo`` crosses p, for 0 < p < 1.
+
+    ``random()`` is x * 2**-53 for the 53-bit integer x = (hi >> 5) * 2**26
+    + (lo >> 6), and p * 2**53 is exact, so ``random() < p`` exactly when x
+    < t = ceil(p * 2**53).  Returns ``(edge, low)``: the least hi whose
+    ``hi >> 5`` ties t's high 27 bits (edge + 31 < 2**32 as p < 1), and t's
+    low 26 bits.  Below ``edge`` the test holds, from ``edge + 32`` on it
+    fails, and at a tie it holds when ``lo >> 6`` is below ``low``.
+    """
+    t = math.ceil(p * 9007199254740992.0)
+    return t >> 26 << 5, t & 0x3FFFFFF
+
+
 def _below(hi: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
     """The indices i at which ``random()`` from words ``hi[i]`` then ``lo[i]`` is below p.
 
-    ``random()`` is x * 2**-53 for the 53-bit integer x = (hi >> 5) * 2**26
-    + (lo >> 6), and p * 2**53 is exact, so the test is x < t = ceil(p *
-    2**53): hi >> 5 below t >> 26, or equal to it and lo >> 6 below the low
-    26 bits of t.  No float is built, and ``lo`` is read only at those ties,
-    one unit in 2**27.
+    The test is :func:`_threshold`'s: no float is built, and ``lo`` is read
+    only at the ties, one unit in 2**27.
     """
     if p >= 1.0:
         return np.arange(len(hi))
     if not p > 0.0:
         return np.arange(0)
-    t = math.ceil(p * 9007199254740992.0)
-    edge = t >> 26 << 5  # the least hi that ties t; edge + 31 < 2**32 as p < 1
+    edge, low = _threshold(p)
     at = np.flatnonzero(hi <= edge + 31)
     tie = np.flatnonzero(hi[at] >= edge)
     if len(tie):
-        at = np.delete(at, tie[(lo[at[tie]] >> 6) >= (t & 0x3FFFFFF)])
+        at = np.delete(at, tie[(lo[at[tie]] >> 6) >= low])
     return at
+
+
+def _is_below(hi: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
+    """Whether ``random()`` from words ``hi[i]`` then ``lo[i]`` is below p, as a bool mask.
+
+    The mask of :func:`_below`'s indices, for draws that every round reads.
+    """
+    if p >= 1.0:
+        return np.ones(len(hi), dtype=bool)
+    if not p > 0.0:
+        return np.zeros(len(hi), dtype=bool)
+    edge, low = _threshold(p)
+    below = hi < edge
+    if low:  # otherwise no tie is below p, as at p = 1/2
+        tie = (hi >> 5) == edge >> 5
+        if tie.any():
+            below |= tie & ((lo >> 6) < low)
+    return below
 
 
 # Words per getrandbits call of _words.  Drawn whole, a 400 KB buffer's int
@@ -980,24 +1017,29 @@ def _replay_counts(
     """The counters of :func:`replay_counter`, from ``rng``'s draws in NumPy.
 
     The laws share their delivery and detection probabilities (those of
-    ``law``), so which draws are which does not depend on the op:
-    :func:`_walk` finds the detections, or they are every round, five draws
-    each, when every round is a detection.  The schedule then gives the op
-    of each detection.  Rounds after the n-th detection, in-flight or not,
-    change no counter, so the walk stops there, and only the draws that the
-    counters read become ``random()`` values.
+    ``law``), so which draws are which does not depend on the op.  When
+    every round is a detection, the session is n rounds of five draws: one
+    ``(n, 10)`` block of words, with no walk and no array of detections or
+    round indices.  Otherwise :func:`_walk` finds the detections.  The
+    schedule then gives the op of each detection.  Only the draws that the
+    counters read become ``random()`` values, and without a walk only the X
+    readout does: the basis draws are tested on their words
+    (:func:`_is_below`).  Rounds after the n-th detection, in flight or not,
+    change no counter, so the replay stops there.
     """
     eve_rng = _eve_stream(rng)
     n = params.n_det_ter
     # With one op every detection has it, and the schedule is not needed.
     several = len(tally.error_from) > 1
+    detected = None  # every emitted round is a detection
     if law.p_deliver >= 1.0 and law.p_detect >= 1.0:
         # random() < 1 always holds, so every round is a detection of five
-        # draws and there is nothing to walk (max_rounds >= n always).
-        step = _REPLAY_CHUNK // 5
-        pairs = np.concatenate([_word_pairs(rng, 5 * min(step, n - i)) for i in range(0, n, step)])
-        reads = pairs.reshape(n, 5)[:, 2:]  # Bob's basis, Alice's basis, the X readout
-        index = np.arange(n)
+        # draws, ten words, and there is nothing to walk (max_rounds >= n
+        # always).  Words 4-9: Bob's basis, Alice's basis, the X readout.
+        words = _words(rng, 10 * n).reshape(n, 10)
+        b_z = _is_below(words[:, 4], words[:, 5], params.p_z_b)
+        a_z = _is_below(words[:, 6], words[:, 7], params.p_z_a)
+        readout = _to_random(words[:, 8], words[:, 9])
     else:
 
         def extract(s: _Stretch) -> tuple:
@@ -1013,15 +1055,18 @@ def _replay_counts(
             _one_draw_tests(law),
             extract,
         )
-        reads, index = columns if several else (columns[0], None)
-    b_draw, a_draw, readout = _to_random(*_halves(reads)).T
-    b_z = b_draw < params.p_z_b
-    a_z = a_draw < params.p_z_a
+        b_draw, a_draw, readout = _to_random(*_halves(columns[0])).T
+        b_z = b_draw < params.p_z_b
+        a_z = a_draw < params.p_z_a
+        if several:
+            index = columns[1]
+            detected = np.zeros(index[-1] + 1, dtype=bool)
+            detected[index] = True
     if several:
-        detected = np.zeros(index[-1] + 1, dtype=bool)
-        detected[index] = True
-        basis_b = np.where(b_z, Basis.Z.value, Basis.X.value).astype(np.uint8)
-        op = schedule(detected, basis_b, functools.partial(_uniforms, eve_rng))[index]
+        basis_b = (~b_z).view(np.uint8)  # Basis.value: Z is 0, X is 1
+        op = schedule(detected, basis_b, functools.partial(_uniforms, eve_rng))
+        if detected is not None:
+            op = op[index]
         per_op = np.bincount(op, minlength=len(tally.error_from)).tolist()
     else:
         op, per_op = 0, [n]

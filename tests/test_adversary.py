@@ -1,5 +1,6 @@
 """Channel factories, strategy behaviors, and their JSON round-trips."""
 
+import math
 import random
 
 import numpy as np
@@ -219,6 +220,11 @@ def test_config_validation():
             AdaptiveBasisTracker(window=window)
     with pytest.raises(ConfigError):
         AdaptiveBasisTracker(bias_gain=-1.0)
+    # An infinite gain makes the attack probability inf * 0 at a balanced
+    # window, and the replay and the round loop read that NaN differently.
+    for gain in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="bias_gain"):
+            AdaptiveBasisTracker(bias_gain=gain)
 
 
 # -- JSON mapping ------------------------------------------------------------

@@ -165,6 +165,33 @@ def test_domain_checks_refuse_nan(call):
         call()
 
 
+# Round counts are integers.  An infinite count once gave eta = 0, a claim
+# that the bound never fails, and a fractional or boolean one was computed on.
+_COUNT_CALLS = {
+    "azuma_tail": lambda n: azuma_tail(n, 0.1),
+    "phase_error_bound": lambda n: phase_error_bound(1, 0.5, 0.5, n, 0.1),
+    "key_length": lambda n: key_length(n, 0.0, 1e-10, 1e-21, 0, 1e-10),
+    "ec_syndrome_cost": lambda n: ec_syndrome_cost(n, 0.1, 1.2),
+}
+
+
+@pytest.mark.parametrize("count", [math.inf, 10.5, 1000.0, True, np.True_, "1000", None], ids=repr)
+@pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+def test_round_counts_refuse_what_is_no_integer(name, count):
+    with pytest.raises(DomainError):
+        _COUNT_CALLS[name](count)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16], ids=lambda k: k.__name__)
+@pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+def test_round_counts_take_numpy_integers(name, kind):
+    got, want = _COUNT_CALLS[name](kind(1000)), _COUNT_CALLS[name](1000)
+    assert got == want
+    if name in ("azuma_tail", "key_length"):
+        count = got.n if name == "azuma_tail" else got.n_z
+        assert type(count) is int
+
+
 # -- key length --------------------------------------------------------------
 
 

@@ -591,6 +591,33 @@ def test_estimation_respects_adaptive_strategies():
         assert 0.0 <= pr.p_ph <= q_z + 1e-15
 
 
+@pytest.mark.parametrize("picture", [protocol._ACTUAL, protocol._VIRTUAL, protocol._ESTIMATION])
+def test_sessions_find_the_laws_of_the_strategy_ops_once(picture, monkeypatch):
+    # The tracker's op flips between the identity and a dephasing op, and
+    # each flip once asked the value-keyed law cache, which hashes matrices.
+    name = "_actual_law" if picture is protocol._ACTUAL else "_virtual_law"
+    law_of, asked = getattr(protocol, name), []
+    monkeypatch.setattr(protocol, name, lambda povm, op: asked.append(op) or law_of(povm, op))
+    tracker = make_strategy(AdaptiveBasisTracker(window=2, bias_gain=1.5))
+    seen = []
+
+    def behavior(prefix, rng):
+        seen.append(tracker.behavior(prefix, rng))
+        return seen[-1]
+
+    eve = EveStrategy("counting", behavior, ops=tracker.ops)
+    params = _params(n=200)
+    protocol._session(params, eve, derive_stream(5, 0), ideal_povm(), CountDetected(200), picture)
+    flips = sum(a is not b for a, b in zip(seen, seen[1:]))
+    assert flips > 20 and asked == list(tracker.ops)
+    # An op outside ``ops`` is looked up by value, as before.
+    fresh = dephasing_channel(Basis.Z)
+    eve = EveStrategy("fresh", lambda prefix, rng: fresh, ops=tracker.ops)
+    asked.clear()
+    protocol._session(params, eve, derive_stream(5, 1), ideal_povm(), CountDetected(200), picture)
+    assert asked == [*tracker.ops, fresh] and asked[-1] is fresh
+
+
 # -- session replay: the round loop's draws walked in NumPy ---------------------
 
 # Probabilities at the edges of random()'s 53-bit grid: zero, the least
@@ -622,9 +649,16 @@ def test_threshold_test_on_words_equals_the_float_test(p):
     words = np.random.default_rng(11).integers(0, 2**32, (2, 50_000), dtype=np.uint32)
     at_edge = _threshold_words(p)
     for hi, lo in (words, at_edge):
+        want = protocol._to_random(hi, lo) < p
         got = protocol._below(hi, lo, p)
-        want = np.flatnonzero(protocol._to_random(hi, lo) < p)
-        assert got.dtype == np.intp and np.array_equal(got, want), p
+        assert got.dtype == np.intp and np.array_equal(got, np.flatnonzero(want)), p
+        mask = protocol._is_below(hi, lo, p)
+        assert mask.dtype == bool and np.array_equal(mask, want), p
+    # The mask reads strided columns, as the lossless replay gives them.
+    block = np.stack(at_edge * 2, axis=1)
+    assert np.array_equal(
+        protocol._is_below(block[:, 2], block[:, 1], p), protocol._to_random(*at_edge) < p
+    ), p
     # The words at the edge cover both sides of the threshold (except where
     # no value can be below p, or none above it).
     below = len(protocol._below(*at_edge, p))

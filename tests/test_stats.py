@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -228,9 +229,11 @@ _ORACLE_STRATEGIES = {
     "intercept_resend-random": InterceptResend("random", q=0.4),
     "intercept_resend-always_z": InterceptResend("always_z"),
     "intercept_resend-always_x": InterceptResend("always_x"),
+    # At n = 150 a window of 149 is full only for the last round, and one
+    # of 150 or 600 never is.
     **{
         f"tracker-w{window}-g{gain:g}": AdaptiveBasisTracker(window, gain)
-        for window in (1, 16)
+        for window in (1, 16, 149, 150, 600)
         for gain in (0.0, 0.5, 1.5)
     },
 }
@@ -274,6 +277,48 @@ def test_coverage_trials_replay_across_buffer_refills(cfg, eta_det, monkeypatch)
     got = coverage_trials(params, strategy, 4, random.Random(42), povm=povm)
     want = oracles.coverage_trials_reference(params, strategy, 4, random.Random(42), povm=povm)
     _assert_same_stats(got, want, cfg)
+
+
+def _without_behavior(strategy: EveStrategy) -> EveStrategy:
+    """``strategy``'s ``ops`` and ``schedule``, with a ``behavior`` that raises."""
+
+    def behavior(prefix, rng):
+        raise AssertionError(f"{strategy.label}: the round loop ran")
+
+    return EveStrategy(strategy.label, behavior, ops=strategy.ops, schedule=strategy.schedule)
+
+
+@pytest.mark.parametrize("eta_det", [1.0, 0.8])
+@pytest.mark.parametrize("name", sorted(_ORACLE_STRATEGIES))
+def test_replayed_coverage_trials_call_no_behavior(name, eta_det):
+    # A silent fall back to the round loop would give the same numbers at
+    # ten times the cost; a behavior that raises shows it.
+    strategy = make_strategy(_ORACLE_STRATEGIES[name])
+    povm = detection_povm(eta_det)
+    for batch in (1, 7):
+        params = _params(n=150, batch_size=batch)
+        got = coverage_trials(params, _without_behavior(strategy), 4, random.Random(48), povm=povm)
+        want = coverage_trials(params, strategy, 4, random.Random(48), povm=povm)
+        _assert_same_stats(got, want, batch)
+
+
+@pytest.mark.parametrize("eta_det", [1.0, 0.8])
+def test_a_huge_tracker_window_costs_the_replay_no_memory(eta_det):
+    # The window is user input, so what a replay keeps per window state must
+    # grow with the session, not with a window that never fills.
+    strategy = make_strategy(AdaptiveBasisTracker(window=10**6, bias_gain=1.5))
+    povm = detection_povm(eta_det)
+    params = _params(n=600, p_z=0.7)
+    count = replay_counter(params, strategy, povm)
+    tracemalloc.start()
+    try:
+        got = count(derive_stream(50, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    run = run_estimation(params, strategy, derive_stream(50, 0), povm=povm)
+    assert got == estimation_counts(run)
+    assert peak < 1 << 20, peak
 
 
 def test_strategy_without_a_schedule_gives_the_same_numbers():
