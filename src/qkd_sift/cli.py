@@ -67,6 +67,12 @@ SWEEP_AXES = ("n_det_ter", "delta", "depolarizing_p", "q_ratio")
 _FLOAT_MAX = sys.float_info.max  # a larger int would overflow float()
 
 _PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ProtocolParams))
+# The params a config must give: p_x_a and p_x_b default to 1 - p_z.
+_REQUIRED_PARAMS = tuple(
+    f.name
+    for f in dataclasses.fields(ProtocolParams)
+    if f.default is dataclasses.MISSING and f.name not in ("p_x_a", "p_x_b")
+)
 _RULE_KINDS = {"count_detected": CountDetected, "count_per_basis": CountPerBasis}
 
 
@@ -182,9 +188,11 @@ def config_from_dict(doc: dict) -> RunConfig:
     for key in raw_params:
         if key not in _PARAM_FIELDS:
             raise ParseError(f"unknown field {key!r} in params")
+    for key in _REQUIRED_PARAMS:
+        _require(raw_params, key, "params")
     p = dict(raw_params)
     for z, x in (("p_z_a", "p_x_a"), ("p_z_b", "p_x_b")):
-        if x not in p and z in p:
+        if x not in p:
             # ProtocolParams refuses a p_z that is no number before it reads p_x.
             p[x] = 1.0 - p[z] if is_real(p[z]) else None
     try:

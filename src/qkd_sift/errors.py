@@ -4,11 +4,13 @@ Everything raised on purpose derives from :class:`QkdSiftError` so callers can
 catch the package's failures with a single except clause.  Aborts of the key
 distillation (too-short key, failed verification, missing test data) share the
 :class:`ProtocolAbort` base because they are outcomes of an honest run rather
-than programming errors.  :func:`is_int` and :func:`is_real` are the number
-checks that the validations raising them share.
+than programming errors.  :func:`is_int`, :func:`is_real` and :func:`as_count`
+are the number checks that the validations raising them share.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class QkdSiftError(Exception):
@@ -103,6 +105,21 @@ class IoError(QkdSiftError, OSError):
 def is_int(value: object) -> bool:
     """True for an ``int`` that is not a ``bool``, so JSON ``true`` is no count."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def as_count(value: object, name: str, least: int) -> int:
+    """``value`` as a count of at least ``least``: an int or NumPy integer, not a bool.
+
+    Anything else raises :class:`DomainError`, a float too, however whole:
+    ``inf`` rounds would claim a bound that never fails.
+    """
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
 
 
 def is_real(value: object) -> bool:

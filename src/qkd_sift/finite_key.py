@@ -18,11 +18,10 @@ exceed eta or no key length is defined at all.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import AbortNoTestData, DomainError, SecurityParameterError
+from .errors import AbortNoTestData, DomainError, SecurityParameterError, as_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from .protocol import ProtocolParams, SiftedData
@@ -35,21 +34,6 @@ def binary_entropy(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-def _count(value: object, name: str, least: int) -> int:
-    """``value`` as a count of at least ``least``: an int or NumPy integer, not a bool.
-
-    Anything else raises :class:`DomainError`, a float too, however whole:
-    ``inf`` rounds would claim a bound that never fails.
-    """
-    try:
-        count = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or count < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -68,7 +52,7 @@ def azuma_tail(n: int, delta: float) -> AzumaBound:
     A deviation of n * delta has probability at most exp(-n * delta**2 / 2)
     per side; ``eta`` is the union over both sides.
     """
-    n = _count(n, "round count", 1)
+    n = as_count(n, "round count", 1)
     # Each check is written so that a NaN fails it.
     if not delta >= 0.0:
         raise DomainError(f"delta must be >= 0, got {delta!r}")
@@ -86,7 +70,7 @@ def phase_error_bound(
 
         (q_z / q_x) * wt_x + (q_z / q_x + 1) * n * delta
     """
-    n = _count(n, "round count", 1)
+    n = as_count(n, "round count", 1)
     # Each check is written so that a NaN fails it.
     if not q_x > 0.0:
         raise DomainError("q_x must be positive to scale the observed errors")
@@ -131,7 +115,7 @@ def key_length(
     ``e_ph_bar`` of 1/2 or more zeroes the entropy term (the bound is
     vacuous beyond that point).
     """
-    n_z = _count(n_z, "n_z", 0)
+    n_z = as_count(n_z, "n_z", 0)
     # Each check is written so that a NaN fails it.
     if not e_ph_bar >= 0.0:
         raise DomainError(f"e_ph_bar must be >= 0, got {e_ph_bar!r}")
@@ -171,7 +155,7 @@ def key_length(
 
 def ec_syndrome_cost(n_z: int, error_rate: float, f_ec: float) -> int:
     """Bits disclosed by error correction: ceil(f_ec * n_z * h(error_rate))."""
-    n_z = _count(n_z, "n_z", 0)
+    n_z = as_count(n_z, "n_z", 0)
     # Each check is written so that a NaN fails it.
     if not 1.0 <= f_ec < math.inf:
         raise DomainError(f"f_ec must be finite and >= 1, got {f_ec!r}")

@@ -30,21 +30,22 @@ The loop has a NumPy counterpart for built-in strategies, those with a
 ``schedule``.  The stopping rule counts detections whatever their bases, so
 when every op of the strategy sends the draws the same way, a session is
 set by its draws alone: :func:`_walk` follows them through the stream's
-MT19937 words, and the schedule then gives each round's op.  The walk
-tests delivery and detection on the words themselves: ``random() < p``
-exactly when the 53-bit integer behind ``random()`` is below
-``ceil(p * 2**53)``, so a ``random()`` value is built only for a draw that
-is read.  It visits the delivered rounds and counts the undelivered ones
-between them; only a transcript needs the start of every round.
-``run_actual`` and ``run_virtual`` replay sessions of at least
+MT19937 words, and the schedule then gives each round's op.  A replay
+tests every draw that it compares with a fixed probability (delivery,
+detection and the bases) on the words themselves (:func:`_is_below`):
+``random() < p`` exactly when the 53-bit integer behind ``random()`` is
+below ``ceil(p * 2**53)``.  A ``random()`` value is built only for a draw
+compared with a law's table: the readouts, and in the actual picture the
+delivery and detection of a round whose bit and bases set their
+probability.  The walk visits the delivered rounds and counts the
+undelivered ones between them; only a transcript needs the start of every
+round.  ``run_actual`` and ``run_virtual`` replay sessions of at least
 ``_REPLAY_MIN_DETECTIONS`` detections and ``batch_size`` 1 this way, and
 :func:`replay_counter` gives the estimation counters of coverage trials at
 any batch size: the walk ends at the n-th detection, and rounds in flight
 past it change no counter.  When every round is a detection (no loss, an
 ideal detector) there is no walk: the session's words are one block of ten
-per round, the basis draws are tested on them as masks, and only the X
-readout becomes a ``random()`` value.  A replay returns what the loop
-returns.  Only
+per round.  A replay returns what the loop returns.  Only
 :func:`_replay_session` also leaves the stream where the loop leaves it;
 :func:`replay_counter` may leave it elsewhere.  Custom strategies, the
 per-basis quota rule, and short or batched sessions run the loop.
@@ -493,8 +494,10 @@ def run_insecure_termination(
 ) -> tuple[Transcript, SiftedData]:
     """Prepare-and-measure session under a per-basis quota stopping rule.
 
-    Exists solely to feed the bias analyzer; the stopping time of this rule
-    depends on announced bases, which is exactly the defect being measured.
+    A public sampler of sessions under the insecure rule whose bias
+    :func:`~qkd_sift.stats.enumerate_bias` computes exactly, by enumeration
+    and without sessions.  The stopping time of this rule depends on the
+    announced bases, which is the defect it shows.
     """
     if not isinstance(rule, CountPerBasis):
         raise ValidationError("run_insecure_termination requires a CountPerBasis rule")
@@ -887,48 +890,24 @@ def _to_random(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return ((hi >> 5) * 67108864.0 + (lo >> 6)) * (1.0 / 9007199254740992.0)
 
 
-def _threshold(p: float) -> tuple[int, int]:
-    """Where ``random()`` from words ``hi`` then ``lo`` crosses p, for 0 < p < 1.
-
-    ``random()`` is x * 2**-53 for the 53-bit integer x = (hi >> 5) * 2**26
-    + (lo >> 6), and p * 2**53 is exact, so ``random() < p`` exactly when x
-    < t = ceil(p * 2**53).  Returns ``(edge, low)``: the least hi whose
-    ``hi >> 5`` ties t's high 27 bits (edge + 31 < 2**32 as p < 1), and t's
-    low 26 bits.  Below ``edge`` the test holds, from ``edge + 32`` on it
-    fails, and at a tie it holds when ``lo >> 6`` is below ``low``.
-    """
-    t = math.ceil(p * 9007199254740992.0)
-    return t >> 26 << 5, t & 0x3FFFFFF
-
-
-def _below(hi: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
-    """The indices i at which ``random()`` from words ``hi[i]`` then ``lo[i]`` is below p.
-
-    The test is :func:`_threshold`'s: no float is built, and ``lo`` is read
-    only at the ties, one unit in 2**27.
-    """
-    if p >= 1.0:
-        return np.arange(len(hi))
-    if not p > 0.0:
-        return np.arange(0)
-    edge, low = _threshold(p)
-    at = np.flatnonzero(hi <= edge + 31)
-    tie = np.flatnonzero(hi[at] >= edge)
-    if len(tie):
-        at = np.delete(at, tie[(lo[at[tie]] >> 6) >= low])
-    return at
-
-
 def _is_below(hi: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
     """Whether ``random()`` from words ``hi[i]`` then ``lo[i]`` is below p, as a bool mask.
 
-    The mask of :func:`_below`'s indices, for draws that every round reads.
+    Every replay compares a draw with a fixed probability this way, on the
+    words and without building a float.  ``random()`` is x * 2**-53 for the
+    53-bit integer x = (hi >> 5) * 2**26 + (lo >> 6), and p * 2**53 is
+    exact, so for 0 < p < 1 ``random() < p`` exactly when x < t = ceil(p *
+    2**53).  ``edge`` is the least hi whose ``hi >> 5`` ties t's high 27
+    bits, and ``low`` is t's low 26 bits: below ``edge`` the test holds,
+    from ``edge + 32`` on it fails, and at a tie, one hi in 2**27, it holds
+    when ``lo >> 6`` is below ``low``.
     """
     if p >= 1.0:
         return np.ones(len(hi), dtype=bool)
     if not p > 0.0:
         return np.zeros(len(hi), dtype=bool)
-    edge, low = _threshold(p)
+    t = math.ceil(p * 9007199254740992.0)
+    edge, low = t >> 26 << 5, t & 0x3FFFFFF
     below = hi < edge
     if low:  # otherwise no tie is below p, as at p = 1/2
         tie = (hi >> 5) == edge >> 5
@@ -1020,12 +999,13 @@ def _replay_counts(
     ``law``), so which draws are which does not depend on the op.  When
     every round is a detection, the session is n rounds of five draws: one
     ``(n, 10)`` block of words, with no walk and no array of detections or
-    round indices.  Otherwise :func:`_walk` finds the detections.  The
-    schedule then gives the op of each detection.  Only the draws that the
-    counters read become ``random()`` values, and without a walk only the X
-    readout does: the basis draws are tested on their words
-    (:func:`_is_below`).  Rounds after the n-th detection, in flight or not,
-    change no counter, so the replay stops there.
+    round indices.  Otherwise :func:`_walk` finds the detections.  Either
+    way each detection gives six words, those of Bob's basis, Alice's basis
+    and the X readout, and the schedule gives its op.  The basis draws are
+    tested on their words (:func:`_is_below`); only the readout, compared
+    with the cuts of its op's law, becomes a ``random()`` value.  Rounds
+    after the n-th detection, in flight or not, change no counter, so the
+    replay stops there.
     """
     eve_rng = _eve_stream(rng)
     n = params.n_det_ter
@@ -1035,11 +1015,8 @@ def _replay_counts(
     if law.p_deliver >= 1.0 and law.p_detect >= 1.0:
         # random() < 1 always holds, so every round is a detection of five
         # draws, ten words, and there is nothing to walk (max_rounds >= n
-        # always).  Words 4-9: Bob's basis, Alice's basis, the X readout.
-        words = _words(rng, 10 * n).reshape(n, 10)
-        b_z = _is_below(words[:, 4], words[:, 5], params.p_z_b)
-        a_z = _is_below(words[:, 6], words[:, 7], params.p_z_a)
-        readout = _to_random(words[:, 8], words[:, 9])
+        # always).  Words 4-9 are the ones read.
+        words = _words(rng, 10 * n).reshape(n, 10)[:, 4:]
     else:
 
         def extract(s: _Stretch) -> tuple:
@@ -1055,13 +1032,14 @@ def _replay_counts(
             _one_draw_tests(law),
             extract,
         )
-        b_draw, a_draw, readout = _to_random(*_halves(columns[0])).T
-        b_z = b_draw < params.p_z_b
-        a_z = a_draw < params.p_z_a
+        words = columns[0].view("<u4")
         if several:
             index = columns[1]
             detected = np.zeros(index[-1] + 1, dtype=bool)
             detected[index] = True
+    b_z = _is_below(words[:, 0], words[:, 1], params.p_z_b)
+    a_z = _is_below(words[:, 2], words[:, 3], params.p_z_a)
+    readout = _to_random(words[:, 4], words[:, 5])
     if several:
         basis_b = (~b_z).view(np.uint8)  # Basis.value: Z is 0, X is 1
         op = schedule(detected, basis_b, functools.partial(_uniforms, eve_rng))
@@ -1110,15 +1088,15 @@ def _replay_session(
         def delivery(w, limit):
             # Every delivered round is below the largest p_deliver; where the
             # bit and basis give another, the readout is tested against it.
-            at = _below(w[3 : limit + 3], w[4 : limit + 4], deliver.max())
+            at = np.flatnonzero(_is_below(w[3 : limit + 3], w[4 : limit + 4], deliver.max()))
             if deliver.min() == deliver.max():
                 return at
-            code = (w[at + 2] >> 31 << 1) | (_to_random(w[at], w[at + 1]) >= p_z_a)
+            code = (w[at + 2] >> 31 << 1) | ~_is_below(w[at], w[at + 1], p_z_a)
             return at[_to_random(w[at + 3], w[at + 4]) < deliver[code]]
 
         def detection(w, s):
-            a = _to_random(w[s], w[s + 1]) >= p_z_a
-            b = _to_random(w[s + 5], w[s + 6]) >= p_z_b
+            a = ~_is_below(w[s], w[s + 1], p_z_a)
+            b = ~_is_below(w[s + 5], w[s + 6], p_z_b)
             return _to_random(w[s + 7], w[s + 8]) < detect[4 * (w[s + 2] >> 31) + 2 * a + b]
 
         tests = delivery, detection
@@ -1128,8 +1106,8 @@ def _replay_session(
             starts, delivered = _round_starts(s)
             return (
                 s.before + np.flatnonzero(delivered)[s.hits],
-                _to_random(w[starts + 5], w[starts + 6]) < p_z_b,
-                _to_random(w[at], w[at + 1]) < p_z_a,
+                _is_below(w[starts + 5], w[starts + 6], p_z_b),
+                _is_below(w[at], w[at + 1], p_z_a),
                 (w[at + 2] >> 31).astype(np.uint8),  # getrandbits(1) is the top bit
                 _to_random(w[at + 7], w[at + 8]),
             )
@@ -1142,8 +1120,8 @@ def _replay_session(
             starts, delivered = _round_starts(s)
             return (
                 s.before + np.flatnonzero(delivered)[s.hits],
-                _to_random(*_halves(s.u[starts + 1 + delivered])) < p_z_b,
-                _to_random(*_halves(s.u[s.at[s.hits] + 3])) < p_z_a,
+                _is_below(*_halves(s.u[starts + 1 + delivered]), p_z_b),
+                _is_below(*_halves(s.u[s.at[s.hits] + 3]), p_z_a),
             )
 
         draw, words_per_unit = stream.pairs, 2
@@ -1160,10 +1138,10 @@ def _replay_session(
 
     hits = np.zeros(index[-1] + 1, dtype=bool)  # the last round is the n-th detection
     hits[index] = True
-    basis_b = np.where(b_z, Basis.Z.value, Basis.X.value).astype(np.uint8)
+    basis_b = (~b_z).view(np.uint8)  # Basis.value: Z is 0, X is 1
     op = schedule(hits, basis_b[index], functools.partial(_uniforms, eve_rng))[index]
     basis_a = np.zeros_like(basis_b)
-    basis_a[index] = np.where(a_z, Basis.Z.value, Basis.X.value)
+    basis_a[index] = ~a_z
     transcript = Transcript(params)
     transcript.detected += memoryview(hits.view(np.uint8))
     transcript.basis_b += memoryview(basis_b)
@@ -1202,13 +1180,10 @@ def _replay_session(
 def _one_draw_tests(law: _VirtualLaw) -> tuple[Callable, Callable]:
     """:func:`_walk`'s tests when delivery and detection take a ``random()`` each."""
     p_deliver, p_detect = law.p_deliver, law.p_detect
-
-    def detected(u, starts):
-        hit = np.zeros(len(starts), dtype=bool)
-        hit[_below(*_halves(u[starts + 1]), p_detect)] = True
-        return hit
-
-    return lambda u, limit: _below(*_halves(u[:limit]), p_deliver), detected
+    return (
+        lambda u, limit: np.flatnonzero(_is_below(*_halves(u[:limit]), p_deliver)),
+        lambda u, starts: _is_below(*_halves(u[starts + 1]), p_detect),
+    )
 
 
 def _walk(

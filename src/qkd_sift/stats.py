@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .adversary import EveStrategy
-from .errors import DomainError, EnumerationTooLarge, TraceInconsistent, is_int
+from .errors import DomainError, EnumerationTooLarge, TraceInconsistent, as_count, is_int
 from .quantum_core import BobPOVM
 from .protocol import (
     _XX,
@@ -206,8 +206,7 @@ def coverage_trials(
     ``max_rounds`` raises the same :class:`MaxRoundsExceeded`.  ``workers``
     is accepted and ignored.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = as_count(trials, "trials", 1)
     base_seed = rng.getrandbits(64)
     count = replay_counter(params, strategy, povm) or (
         lambda stream: estimation_counts(

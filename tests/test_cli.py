@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -13,7 +14,7 @@ import sys
 import pytest
 
 import oracles
-from qkd_sift import cli
+from qkd_sift import adversary, cli
 from qkd_sift.adversary import Depolarizing, IdentityLossy
 from qkd_sift.cli import (
     MODES,
@@ -92,6 +93,62 @@ def test_unknown_fields_are_parse_errors():
         config_from_dict(bad_params)
     with pytest.raises(ParseError, match="missing field"):
         config_from_dict({"mode": "estimation", "params": MINIMAL["params"]})
+
+
+def _schema_objects():
+    """Each object of a config as the schema and the dataclasses give it.
+
+    Maps a name to the object's schema, its dataclass, and the fields that
+    the parser fills when a config leaves them out.
+    """
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "config-schema.json")
+    with open(path, encoding="utf-8") as f:
+        root = json.load(f)
+    props = root["properties"]
+    by_kind = {
+        item["properties"]["kind"]["const"]: item
+        for key in ("strategy", "rule")
+        for item in props[key]["oneOf"]
+    }
+    table = {
+        "config": (root, RunConfig, ()),
+        "params": (props["params"], ProtocolParams, ("p_x_a", "p_x_b")),
+        "sweep": (props["sweep"], SweepSpec, ()),
+    }
+    for kind, cls in {**adversary._KIND_MAP, **cli._RULE_KINDS}.items():
+        assert "kind" in by_kind[kind]["required"], kind
+        table[kind] = (by_kind[kind], cls, ())
+    return table
+
+
+_SCHEMA_OBJECTS = _schema_objects()
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEMA_OBJECTS))
+def test_the_schema_lists_the_fields_and_defaults_of_the_dataclasses(name):
+    schema, cls, filled = _SCHEMA_OBJECTS[name]
+    fields = dataclasses.fields(cls)
+    props = {key: value for key, value in schema["properties"].items() if key != "kind"}
+    assert set(props) == {f.name for f in fields}, name
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING}
+    assert set(schema.get("required", ())) - {"kind"} == missing - set(filled), name
+    # A default of None stands for a value worked out from others, or for
+    # none at all, and the schema says which in words.
+    defaults = {
+        f.name: f.default
+        for f in fields
+        if f.default is not dataclasses.MISSING and f.default is not None
+    }
+    declared = {key: value["default"] for key, value in props.items() if "default" in value}
+    assert declared == defaults, name
+
+
+@pytest.mark.parametrize("field", _SCHEMA_OBJECTS["params"][0]["required"])
+def test_a_config_without_a_required_param_names_it(field):
+    params = dict(MINIMAL["params"])
+    del params[field]
+    with pytest.raises(ParseError, match=f"^missing field '{field}' in params$"):
+        config_from_dict(dict(MINIMAL, params=params))
 
 
 def test_inconsistent_basis_probabilities_fail_validation():

@@ -650,8 +650,6 @@ def test_threshold_test_on_words_equals_the_float_test(p):
     at_edge = _threshold_words(p)
     for hi, lo in (words, at_edge):
         want = protocol._to_random(hi, lo) < p
-        got = protocol._below(hi, lo, p)
-        assert got.dtype == np.intp and np.array_equal(got, np.flatnonzero(want)), p
         mask = protocol._is_below(hi, lo, p)
         assert mask.dtype == bool and np.array_equal(mask, want), p
     # The mask reads strided columns, as the lossless replay gives them.
@@ -661,7 +659,7 @@ def test_threshold_test_on_words_equals_the_float_test(p):
     ), p
     # The words at the edge cover both sides of the threshold (except where
     # no value can be below p, or none above it).
-    below = len(protocol._below(*at_edge, p))
+    below = np.count_nonzero(protocol._is_below(*at_edge, p))
     assert (below > 0 or p == 0.0) and (below < len(at_edge[0]) or p == 1.0), p
 
 
@@ -717,6 +715,11 @@ _REPLAY_STRATEGIES = {
     "tracker-window-16": AdaptiveBasisTracker(16),
 }
 _PICTURES = (protocol._ACTUAL, protocol._VIRTUAL)
+# (p_z_a, p_z_b): a balanced pair and a skewed one, then pairs that reach the
+# threshold test's p >= 1, p <= 0 and tie branches in the basis draws.
+_BASIS_PROBABILITIES = (
+    (0.5, 0.5), (0.7, 0.5), (1.0, 0.5), (0.5, 0.0), (0.0, 1.0), (0.09999999999999999, 0.9),
+)
 
 
 def _loop_and_replay(params, eve, povm, picture, stream):
@@ -764,10 +767,10 @@ def _assert_same_session(got, want, where):
 def test_session_replay_matches_the_round_loop(name, eta, picture):
     eve = make_strategy(_REPLAY_STRATEGIES[name])
     povm = ideal_povm() if eta == 1.0 else detection_povm(eta)
-    for stream, p_z in itertools.product((11, 41, 71), (0.5, 0.7)):
-        params = _params(n=300, p_z_a=p_z, p_x_a=1.0 - p_z)
-        got, want = _loop_and_replay(params, eve, povm, picture, stream + int(10 * p_z))
-        _assert_same_session(got, want, (stream, p_z))
+    for stream, (p_z_a, p_z_b) in itertools.product((11, 41, 71), _BASIS_PROBABILITIES):
+        params = _params(n=300, p_z_a=p_z_a, p_x_a=1.0 - p_z_a, p_z_b=p_z_b, p_x_b=1.0 - p_z_b)
+        got, want = _loop_and_replay(params, eve, povm, picture, stream + int(10 * p_z_a))
+        _assert_same_session(got, want, (stream, p_z_a, p_z_b))
 
 
 @pytest.mark.parametrize("picture", _PICTURES)

@@ -210,6 +210,20 @@ def test_coverage_trials_counters_are_consistent():
         coverage_trials(params, DEPOL, 0, random.Random(38))
 
 
+# A trial count is an integer: True once ran one trial, and 2.5, "3" or None
+# died with a bare TypeError.
+@pytest.mark.parametrize("trials", [True, np.True_, 2.5, 3.0, "3", None, 0, -1], ids=repr)
+def test_coverage_trials_refuse_a_trial_count_that_is_no_integer(trials):
+    for run in (coverage_trials, azuma_coverage):
+        with pytest.raises(DomainError, match="trials must be an integer >= 1"):
+            run(_params(n=8), DEPOL, trials, random.Random(38))
+
+
+def test_coverage_trials_take_a_numpy_integer_trial_count():
+    want = coverage_trials(_params(n=8), DEPOL, 3, random.Random(38))
+    _assert_same_stats(coverage_trials(_params(n=8), DEPOL, np.int64(3), random.Random(38)), want, 3)
+
+
 def test_coverage_trials_worker_count_does_not_change_results():
     params = _params(n=16)
     a = coverage_trials(params, DEPOL, 30, random.Random(39), workers=1)
@@ -253,7 +267,12 @@ def test_coverage_trials_replay_matches_the_round_loop(name, eta_det):
     strategy = make_strategy(_ORACLE_STRATEGIES[name])
     povm = detection_povm(eta_det)
     assert replay_counter(_params(), strategy, povm) is not None
-    for batch, (p_z_a, p_z_b) in itertools.product((1, 3, 7), ((0.5, 0.5), (0.7, 0.6))):
+    # The last four pairs reach the threshold test's p >= 1, p <= 0 and tie
+    # branches in the basis draws.
+    pairs = (
+        (0.5, 0.5), (0.7, 0.6), (1.0, 0.5), (0.5, 0.0), (0.0, 1.0), (0.09999999999999999, 0.9),
+    )
+    for batch, (p_z_a, p_z_b) in itertools.product((1, 3, 7), pairs):
         params = _params(
             n=150, p_z_a=p_z_a, p_x_a=1.0 - p_z_a, p_z_b=p_z_b, p_x_b=1.0 - p_z_b,
             batch_size=batch,
