@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING, Callable, Literal, Union
 
 import numpy as np
 
-from .errors import ConfigError, is_int, is_real
+from .errors import ConfigError, dump_kind, is_int, is_real, load_kind
 from .quantum_core import Basis, ChannelOp, RandomStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -338,26 +338,9 @@ _KIND_MAP = {
 
 def strategy_from_dict(d: dict) -> StrategyConfig:
     """Build a strategy config from its JSON form {"kind": ..., **fields}."""
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError(f"strategy must be an object with a 'kind' field, got {d!r}")
-    kind = d["kind"]
-    cls = _KIND_MAP.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ConfigError(
-            f"unknown strategy kind {kind!r}; expected one of {sorted(_KIND_MAP)}"
-        )
-    fields = {k: v for k, v in d.items() if k != "kind"}
-    try:
-        return cls(**fields)
-    except TypeError as exc:
-        raise ConfigError(f"bad fields for strategy {kind!r}: {exc}") from exc
+    return load_kind(d, "strategy", _KIND_MAP, ConfigError)
 
 
 def strategy_to_dict(cfg: StrategyConfig) -> dict:
     """Inverse of :func:`strategy_from_dict`."""
-    for kind, cls in _KIND_MAP.items():
-        if isinstance(cfg, cls):
-            out: dict = {"kind": kind}
-            out.update(vars(cfg))
-            return out
-    raise ConfigError(f"unknown strategy configuration {cfg!r}")
+    return dump_kind(cfg, "strategy configuration", _KIND_MAP, ConfigError)

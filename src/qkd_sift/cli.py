@@ -41,8 +41,11 @@ from .errors import (
     QkdSiftError,
     SecurityParameterError,
     ValidationError,
+    check_record,
+    dump_kind,
     is_int,
     is_real,
+    load_kind,
 )
 from .protocol import (
     CountDetected,
@@ -66,13 +69,6 @@ SCHEMA_TAG = "qkd-sift/v1"
 SWEEP_AXES = ("n_det_ter", "delta", "depolarizing_p", "q_ratio")
 _FLOAT_MAX = sys.float_info.max  # a larger int would overflow float()
 
-_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ProtocolParams))
-# The params a config must give: p_x_a and p_x_b default to 1 - p_z.
-_REQUIRED_PARAMS = tuple(
-    f.name
-    for f in dataclasses.fields(ProtocolParams)
-    if f.default is dataclasses.MISSING and f.name not in ("p_x_a", "p_x_b")
-)
 _RULE_KINDS = {"count_detected": CountDetected, "count_per_basis": CountPerBasis}
 
 
@@ -143,65 +139,30 @@ class RunConfig:
 # Config (de)serialization
 
 
-def _require(doc: dict, key: str, where: str) -> Any:
-    if key not in doc:
-        raise ParseError(f"missing field {key!r} in {where}")
-    return doc[key]
-
-
 def rule_from_dict(d: dict) -> TerminationRule:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ParseError(f"rule must be an object with a 'kind' field, got {d!r}")
-    kind = d["kind"]
-    cls = _RULE_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ParseError(f"unknown rule kind {kind!r}; expected one of {sorted(_RULE_KINDS)}")
-    try:
-        return cls(**{k: v for k, v in d.items() if k != "kind"})
-    except TypeError as exc:
-        raise ParseError(f"bad fields for rule {kind!r}: {exc}") from exc
+    return load_kind(d, "rule", _RULE_KINDS, ParseError)
 
 
 def rule_to_dict(rule: TerminationRule) -> dict:
-    for kind, cls in _RULE_KINDS.items():
-        if isinstance(rule, cls):
-            return {"kind": kind, **vars(rule)}
-    raise ValidationError(f"unknown termination rule {rule!r}")
+    return dump_kind(rule, "termination rule", _RULE_KINDS, ValidationError)
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
-    if not isinstance(doc, dict):
-        raise ParseError(f"config root must be an object, got {type(doc).__name__}")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    for key in doc:
-        if key not in known:
-            raise ParseError(f"unknown field {key!r} in config")
-
-    mode = _require(doc, "mode", "config")
+    check_record(doc, "config", RunConfig)
+    mode = doc["mode"]
     if mode not in MODES:
         raise ParseError(f"unknown mode {mode!r}; expected one of {MODES}")
 
-    raw_params = _require(doc, "params", "config")
-    if not isinstance(raw_params, dict):
-        raise ParseError("field 'params' must be an object")
-    for key in raw_params:
-        if key not in _PARAM_FIELDS:
-            raise ParseError(f"unknown field {key!r} in params")
-    for key in _REQUIRED_PARAMS:
-        _require(raw_params, key, "params")
-    p = dict(raw_params)
+    p = dict(check_record(doc["params"], "params", ProtocolParams, filled=("p_x_a", "p_x_b")))
     for z, x in (("p_z_a", "p_x_a"), ("p_z_b", "p_x_b")):
         if x not in p:
             # ProtocolParams refuses a p_z that is no number before it reads p_x.
             p[x] = 1.0 - p[z] if is_real(p[z]) else None
-    try:
-        params = ProtocolParams(**p)
-    except TypeError as exc:
-        raise ParseError(f"params: {exc}") from exc
+    params = ProtocolParams(**p)
 
     try:
-        strategy = strategy_from_dict(_require(doc, "strategy", "config"))
+        strategy = strategy_from_dict(doc["strategy"])
     except ConfigError as exc:
         raise ParseError(f"strategy: {exc}") from exc
 
@@ -209,14 +170,10 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     sweep = None
     if doc.get("sweep") is not None:
-        raw_sweep = doc["sweep"]
-        if not isinstance(raw_sweep, dict):
-            raise ParseError("field 'sweep' must be an object")
-        axis = _require(raw_sweep, "axis", "sweep")
-        values = _require(raw_sweep, "values", "sweep")
-        if not isinstance(values, list):
+        raw_sweep = check_record(doc["sweep"], "sweep", SweepSpec)
+        if not isinstance(raw_sweep["values"], list):
             raise ParseError("sweep 'values' must be an array")
-        sweep = SweepSpec(axis=axis, values=tuple(values))
+        sweep = SweepSpec(axis=raw_sweep["axis"], values=tuple(raw_sweep["values"]))
 
     # The other fields are plain values; RunConfig has the defaults of those left out.
     parsed = {"params": params, "strategy": strategy, "mode": mode, "rule": rule, "sweep": sweep}
@@ -227,7 +184,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
     """Inverse of :func:`config_from_dict`; load(emit(cfg)) == cfg."""
     doc: dict[str, Any] = {
         "mode": cfg.mode,
-        "params": {name: getattr(cfg.params, name) for name in _PARAM_FIELDS},
+        "params": {**vars(cfg.params)},
         "strategy": strategy_to_dict(cfg.strategy),
         "trials": cfg.trials,
         "seed": cfg.seed,

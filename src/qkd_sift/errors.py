@@ -5,11 +5,14 @@ catch the package's failures with a single except clause.  Aborts of the key
 distillation (too-short key, failed verification, missing test data) share the
 :class:`ProtocolAbort` base because they are outcomes of an honest run rather
 than programming errors.  :func:`is_int`, :func:`is_real` and :func:`as_count`
-are the number checks that the validations raising them share.
+are the number checks that the validations raising them share, and
+:func:`check_record`, :func:`load_kind` and :func:`dump_kind` read and write
+the objects of a config.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 
 
@@ -125,3 +128,48 @@ def as_count(value: object, name: str, least: int) -> int:
 def is_real(value: object) -> bool:
     """True for an ``int`` or ``float`` that is not a ``bool``."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_record(value: object, where: str, cls: type, filled: tuple[str, ...] = ()) -> dict:
+    """``value`` if it is a dict of dataclass ``cls``'s fields that gives each
+    field without a default, less those in ``filled``; else :class:`ParseError`.
+
+    ``where`` names the object: ``config`` for the root, else its field.
+    """
+    if not isinstance(value, dict):
+        if where == "config":
+            raise ParseError(f"config root must be an object, got {type(value).__name__}")
+        raise ParseError(f"field {where!r} must be an object")
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in value:  # in the document's order, so the message is too
+        if key not in names:
+            raise ParseError(f"unknown field {key!r} in {where}")
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in filled and f.name not in value:
+            raise ParseError(f"missing field {f.name!r} in {where}")
+    return value
+
+
+def load_kind(doc: object, what: str, kinds: dict[str, type], error: type[QkdSiftError]) -> object:
+    """The dataclass that ``kinds`` maps ``doc["kind"]`` to, built from the
+    other keys of ``doc``; else ``error``, with ``what`` naming ``doc``."""
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise error(f"{what} must be an object with a 'kind' field, got {doc!r}")
+    kind = doc["kind"]
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise error(f"unknown {what} kind {kind!r}; expected one of {sorted(kinds)}")
+    try:
+        return cls(**{k: v for k, v in doc.items() if k != "kind"})
+    except TypeError as exc:
+        raise error(f"bad fields for {what} {kind!r}: {exc}") from exc
+
+
+def dump_kind(obj: object, noun: str, kinds: dict[str, type], error: type[QkdSiftError]) -> dict:
+    """Inverse of :func:`load_kind`: ``{"kind": ..., **fields}`` of ``obj``,
+    or ``error`` if ``obj`` is no ``noun`` of a class in ``kinds``."""
+    for kind, cls in kinds.items():
+        if isinstance(obj, cls):
+            return {"kind": kind, **vars(obj)}
+    raise error(f"unknown {noun} {obj!r}")

@@ -66,7 +66,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from . import finite_key, hashing
-from .adversary import EveStrategy, Schedule
+from .adversary import EveStrategy, Schedule, _first_op
 from .errors import (
     AbortKeyTooShort,
     AbortVerificationFailed,
@@ -379,9 +379,11 @@ def derive_stream(master_seed: int, index: int) -> RandomStream:
     return random.Random((master_seed << 64) + index)
 
 
-def _eve_stream(rng: RandomStream) -> RandomStream:
-    """The adversary's private sub-stream, derived once per session."""
-    return random.Random(rng.getrandbits(64))
+def _eve_stream(rng: RandomStream, schedule: Schedule | None) -> RandomStream | None:
+    """The adversary's private sub-stream, derived once per session, or None
+    for a ``_first_op`` schedule, which takes no draws; the seed is drawn either way."""
+    seed = rng.getrandbits(64)
+    return None if schedule is _first_op else random.Random(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +584,7 @@ def _session(
     virtual = picture is _VIRTUAL
     estimation = picture is _ESTIMATION
     law_of = _actual_law if actual else _virtual_law
-    eve_rng = _eve_stream(rng)
+    eve_rng = _eve_stream(rng, eve.schedule)
     behavior = eve.behavior
     rand = rng.random
     getrandbits = rng.getrandbits
@@ -839,9 +841,8 @@ def _replayer(
         return None
     _, skip, strides = _LAYOUTS[picture]
     per_round = skip + p_deliver * (strides[0] - skip) + p_hit * (strides[1] - strides[0])
-    # Units to draw per detection to come: the expected number, with a 10%
-    # margin unless every round is a detection.
-    per_detection = per_round / p_hit * (1.0 if p_hit >= 1.0 else 1.1)
+    # Units to draw per detection to come: the expected number, no margin.
+    per_detection = per_round / p_hit
     if picture is not _ESTIMATION:
         return functools.partial(
             _replay_session, params, eve.schedule, laws, picture, per_detection
@@ -957,17 +958,16 @@ def _uniforms(stream: RandomStream, k: int) -> np.ndarray:
 class _Words:
     """A session stream's MT19937 words, drawn in bulk and given back exactly.
 
-    The stream's state before each of the last two draws is kept, so
-    :meth:`seek` can leave the stream just after any word of them.
+    The stream's state before the last draw is kept, so :meth:`seek` can
+    leave the stream after any word of it, where a :func:`_walk` session ends.
     """
 
     def __init__(self, stream: RandomStream) -> None:
         self._stream = stream
         self._drawn = 0
-        self._marks: list[tuple[int, tuple]] = []
 
     def words(self, k: int) -> np.ndarray:
-        self._marks = self._marks[-1:] + [(self._drawn, self._stream.getstate())]
+        self._mark: tuple[int, tuple] = (self._drawn, self._stream.getstate())
         self._drawn += k
         return _words(self._stream, k)
 
@@ -979,7 +979,7 @@ class _Words:
 
     def seek(self, used: int) -> None:
         """Leave the stream as if only the first ``used`` words were drawn."""
-        drawn, state = next(mark for mark in reversed(self._marks) if mark[0] <= used)
+        drawn, state = self._mark
         self._stream.setstate(state)
         self._stream.getrandbits(32 * (used - drawn))
         self._drawn = used
@@ -1007,7 +1007,7 @@ def _replay_counts(
     after the n-th detection, in flight or not, change no counter, so the
     replay stops there.
     """
-    eve_rng = _eve_stream(rng)
+    eve_rng = _eve_stream(rng, schedule)
     n = params.n_det_ter
     # With one op every detection has it, and the schedule is not needed.
     several = len(tally.error_from) > 1
@@ -1078,7 +1078,7 @@ def _replay_session(
     each detected round, which sets Bob's bit (actual) or the law of the
     deferred readout that the virtual picture draws after the last round.
     """
-    eve_rng = _eve_stream(rng)
+    eve_rng = _eve_stream(rng, schedule)
     stream = _Words(rng)
     p_z_a, p_z_b = params.p_z_a, params.p_z_b
     if picture is _ACTUAL:
@@ -1208,8 +1208,10 @@ def _walk(
     :func:`_session` does.
 
     Draws come in buffers of at most :data:`_REPLAY_CHUNK` units, sized from
-    ``per_detection``, the units to draw per detection; a round cut by the
-    end of a buffer is carried into the next, which starts with it.  The
+    ``per_detection``, the expected units per detection, with no margin.  A
+    round cut by the end of a buffer is carried into the next, which starts
+    with it; so the session's last round, a detection that takes the whole
+    span, ends in the last draw.  The
     walk visits only the delivered rounds; the undelivered ones between
     them are counted, not built.  ``extract`` gets the :class:`_Stretch` of
     rounds emitted from each buffer.  Returns the arrays that ``extract``

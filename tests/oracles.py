@@ -391,6 +391,58 @@ def coverage_trials_reference(params, strategy, trials, rng, workers=1, povm=Non
 
 
 # ---------------------------------------------------------------------------
+# The exact law of the coverage deviations, one DP step per detected round
+
+
+def coverage_deviation_law(n: int, ops, q_z, q_x) -> tuple[dict, int]:
+    """The exact laws of a coverage trial's two deviations after n detected rounds.
+
+    The adversary picks op j in each round with probability ``w_j``,
+    independently of everything else, as ``InterceptResend("random")`` does;
+    ``ops`` lists the pairs ``(w_j, t_j)``, where ``t_j`` is the probability
+    that a detected round under op j has disagreeing X readouts.  A detected
+    round is Z-Z with probability ``q_z`` and X-X with ``q_x``, whatever its
+    op.  Each round's (op, Z-Z error, X-X error) adds to the deviations
+
+        ph:   [Z-Z and error] - q_z * t_j
+        xerr: q_x * t_j - [X-X and error]
+
+    so that they sum to ``lambda_ph - sum_p_ph`` and ``sum_p_xerr -
+    lambda_xerr``.  The inputs are Fractions, so every increment is a whole
+    number of units of 1 / ``scale``, and a dynamic programme over the n
+    rounds carries the law of each sum in those units.
+
+    Returns ``(laws, scale)``, where ``laws[side] = (low, pmf)``: the side's
+    sum is ``(low + i) / scale`` with probability ``pmf[i]``.
+    """
+    steps: dict = {"ph": {}, "xerr": {}}
+    for w, t in ops:
+        for pair, p_pair in (("zz", q_z), ("xx", q_x), ("other", 1 - q_z - q_x)):
+            for error, p_error in ((1, t), (0, 1 - t)):
+                p = w * p_pair * p_error
+                if not p:
+                    continue
+                for side, value in (
+                    ("ph", (pair == "zz") * error - q_z * t),
+                    ("xerr", q_x * t - (pair == "xx") * error),
+                ):
+                    steps[side][value] = steps[side].get(value, 0) + p
+    scale = math.lcm(*(value.denominator for step in steps.values() for value in step))
+    laws = {}
+    for side, step in steps.items():
+        units = {int(value * scale): float(p) for value, p in step.items()}
+        low, high = min(units), max(units)
+        pmf = np.ones(1)
+        for _ in range(n):
+            grown = np.zeros(len(pmf) + high - low)
+            for unit, p in units.items():
+                grown[unit - low : unit - low + len(pmf)] += p * pmf
+            pmf = grown
+        laws[side] = (n * low, pmf)
+    return laws, scale
+
+
+# ---------------------------------------------------------------------------
 # Estimation-run reductions, one pass over the per-round records
 
 

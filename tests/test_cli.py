@@ -95,15 +95,19 @@ def test_unknown_fields_are_parse_errors():
         config_from_dict({"mode": "estimation", "params": MINIMAL["params"]})
 
 
+def _read_schema():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "config-schema.json")
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
 def _schema_objects():
     """Each object of a config as the schema and the dataclasses give it.
 
     Maps a name to the object's schema, its dataclass, and the fields that
     the parser fills when a config leaves them out.
     """
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "config-schema.json")
-    with open(path, encoding="utf-8") as f:
-        root = json.load(f)
+    root = _read_schema()
     props = root["properties"]
     by_kind = {
         item["properties"]["kind"]["const"]: item
@@ -625,6 +629,61 @@ def test_main_refuses_a_malformed_number(tmp_path, capsys, case):
     assert err["schema"] == SCHEMA_TAG
     assert err["error"]["type"] == error
     assert not out.exists()
+
+
+def test_a_sweep_with_an_unknown_field_is_a_parse_error(tmp_path, capsys):
+    doc = _with(_SWEEP, "sweep", step=1)
+    with pytest.raises(ParseError, match="^unknown field 'step' in sweep$"):
+        config_from_dict(doc)
+    out = tmp_path / "out.json"
+    assert main(["run", "--config", _write(tmp_path, doc), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ParseError"
+    assert not out.exists()
+
+
+def _closed_objects(schema, name="config"):
+    """The objects of ``schema`` that refuse unknown fields, by name: a
+    property's name, or the ``kind`` of a tagged alternative."""
+    if schema.get("additionalProperties") is False:
+        yield name
+    for key, sub in schema.get("properties", {}).items():
+        yield from _closed_objects(sub, key)
+    for sub in schema.get("oneOf", ()):
+        yield from _closed_objects(sub, sub["properties"]["kind"]["const"])
+
+
+# A valid config holding each closed object, and the keys that lead to it.
+_CLOSED_EXAMPLES = {
+    "config": (MINIMAL, ()),
+    "params": (MINIMAL, ("params",)),
+    "identity_lossy": (MINIMAL, ("strategy",)),
+    "depolarizing": (dict(MINIMAL, strategy={"kind": "depolarizing", "p": 0.1}), ("strategy",)),
+    "intercept_resend": (dict(MINIMAL, strategy={"kind": "intercept_resend"}), ("strategy",)),
+    "adaptive_basis_tracker": (
+        dict(MINIMAL, strategy={"kind": "adaptive_basis_tracker"}),
+        ("strategy",),
+    ),
+    "count_detected": (_BIAS, ("rule",)),
+    "count_per_basis": (
+        dict(_BIAS, rule={"kind": "count_per_basis", "n_z_req": 1, "n_x_req": 1}),
+        ("rule",),
+    ),
+    "sweep": (_SWEEP, ("sweep",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(_closed_objects(_read_schema()))))
+def test_every_object_the_schema_closes_refuses_an_unknown_field(name):
+    doc, keys = _CLOSED_EXAMPLES[name]
+    config_from_dict(doc)
+    doc = json.loads(json.dumps(doc))
+    target = functools.reduce(lambda obj, key: obj[key], keys, doc)
+    if "kind" in target:
+        assert target["kind"] == name
+    target["unknown_field"] = 1
+    with pytest.raises(ParseError, match="unknown_field"):
+        config_from_dict(doc)
 
 
 @pytest.mark.parametrize("kind", ["descriptor", "null", "list"])

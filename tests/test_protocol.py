@@ -789,6 +789,37 @@ def test_session_replay_across_buffers(picture, monkeypatch):
         _assert_same_session(got, want, cfg)
 
 
+@pytest.mark.parametrize("picture", sorted(protocol._LAYOUTS))
+def test_a_detected_round_takes_its_layouts_whole_span(picture):
+    # A session ends with a detected round that fits in no earlier buffer,
+    # so it ends in the last draw, the only one whose start _Words keeps.
+    span, _, strides = protocol._LAYOUTS[picture]
+    assert strides[1] == span
+
+
+def test_only_strategies_that_draw_get_an_adversary_stream():
+    plain = make_strategy(InterceptResend())
+    plain = EveStrategy(plain.label, plain.behavior)
+    for cfg, draws in [
+        (IdentityLossy(0.3), False),
+        (Depolarizing(0.15, p_loss=0.9), False),
+        (InterceptResend(basis_policy="always_x"), False),
+        (InterceptResend(), True),
+        (AdaptiveBasisTracker(4), True),
+        (plain, True),
+    ]:
+        eve = cfg if isinstance(cfg, EveStrategy) else make_strategy(cfg)
+        rng, want = random.Random(8), random.Random(8)
+        seed = want.getrandbits(64)
+        got = protocol._eve_stream(rng, eve.schedule)
+        # The seed is drawn either way, so the session stream is the same.
+        assert rng.getstate() == want.getstate(), cfg
+        if draws:
+            assert got.getstate() == random.Random(seed).getstate(), cfg
+        else:
+            assert got is None, cfg
+
+
 @pytest.mark.parametrize("picture", _PICTURES)
 def test_session_replay_raises_max_rounds_as_the_round_loop(picture):
     eve = make_strategy(IdentityLossy(0.5))

@@ -453,6 +453,54 @@ def test_coverage_counters_follow_their_exact_binomial_law(engine, n, trials, se
         assert test.pvalue > 1e-3, (side, violations, trials, tail, report.eta_claimed)
 
 
+# InterceptResend(q=0.3) intercepts in Z with probability 0.3, which sets t =
+# 1/2 (the X readouts come out at random), and otherwise in X, which leaves
+# them alone: t = 0.  The op is drawn anew every round, so the sums of
+# probabilities vary by trial with the number of Z intercepts.  At p_z 0.6,
+# q_z = 9/25 and q_x = 4/25.
+_INTERCEPT_OPS = ((Fraction(3, 10), Fraction(1, 2)), (Fraction(7, 10), Fraction(0)))
+
+
+def _intercept_levels(n: int) -> dict:
+    """Per side, the delta at which the check of an InterceptResend(q=0.3)
+    trial fails with probability at most about ``_EXACT_TAIL``, and that
+    exact probability, from :func:`oracles.coverage_deviation_law`.
+
+    The threshold is a whole number k of the law's units, and ``n * delta``
+    lies half a unit below it, so no trial sits on the float comparison.
+    """
+    laws, scale = oracles.coverage_deviation_law(
+        n, _INTERCEPT_OPS, Fraction(9, 25), Fraction(4, 25)
+    )
+    levels = {}
+    for side, (low, pmf) in laws.items():
+        tails = np.cumsum(pmf[::-1])[::-1]  # tails[i]: the sum is at least low + i units
+        i = int(np.argmax(tails <= _EXACT_TAIL))
+        levels[side] = ((low + i - 0.5) / scale / n, float(tails[i]))
+    return levels
+
+
+@pytest.mark.parametrize(
+    "engine, n, trials, seed", [("replay", 1000, 4000, 48), ("round-loop", 400, 1000, 49)]
+)
+def test_coverage_counters_under_a_random_intercept_follow_their_exact_law(
+    engine, n, trials, seed
+):
+    strategy = make_strategy(InterceptResend(q=0.3))
+    if engine == "round-loop":  # no schedule, so every trial runs run_estimation
+        strategy = EveStrategy(label=strategy.label, behavior=strategy.behavior)
+    params = _params(n=n, p_z=0.6)
+    assert (replay_counter(params, strategy) is not None) == (engine == "replay")
+    stats = coverage_trials(params, strategy, trials, random.Random(seed))
+    # Both sums count the same Z intercepts.
+    assert np.allclose(stats.sum_p_ph / params.q_z, stats.sum_p_xerr / params.q_x, rtol=1e-12)
+    for side, (delta, tail) in _intercept_levels(n).items():
+        assert 2e-3 < tail <= _EXACT_TAIL, side
+        violations = getattr(coverage_report(stats, delta), f"violations_{side}")
+        test = scipy.stats.binomtest(violations, trials, tail)
+        assert test.pvalue > 1e-3, (side, violations, trials, tail)
+
+
 # -- exact enumeration -----------------------------------------------------------
 
 
