@@ -1,5 +1,6 @@
 """Session loops: termination, announcements, law agreement, distillation."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qkd_sift import protocol
+from qkd_sift import adversary, protocol
 from qkd_sift.adversary import (
     AdaptiveBasisTracker,
     Depolarizing,
@@ -899,6 +900,144 @@ def test_batched_estimation_counters_are_replayed(cfg):
     for stream in range(3):
         want = estimation_counts(run_estimation(params, eve, random.Random(stream), povm))
         assert replay(random.Random(stream)) == want, stream
+
+
+# -- replay admission under random laws ------------------------------------------
+
+_PAULIS = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]]),
+    "z": _PAULI_Z,
+}
+_BASIS_DRAW = st.sampled_from([0.5, 0.7, 0.0, 1.0, 0.09999999999999999]) | st.floats(0.05, 0.95)
+# Rounds the loop runs at most per drawn session.
+_MAX_ROUNDS_CAP = 20_000
+
+
+def _psd_sqrt(m):
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def _random_channel(seed, weight, loss, by_code):
+    """Depolarizing of ``weight``, then a random unitary; the loss is ``loss``
+    for every state, or by code up to ``loss`` along a random axis."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    if by_code:
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        lost = g @ g.conj().T
+        lost *= loss / np.linalg.eigvalsh(lost).max()
+        keep, lose = _psd_sqrt(np.eye(2) - lost), _psd_sqrt(lost)
+    else:
+        keep, lose = math.sqrt(1.0 - loss) * np.eye(2), math.sqrt(loss) * np.eye(2)
+    noise = [math.sqrt(1.0 - weight) * np.eye(2)]
+    if weight > 0.0:
+        noise += [math.sqrt(weight / 4.0) * p for p in (np.eye(2), *_PAULIS.values())]
+    return ChannelOp(
+        deliver_kraus=tuple(u @ k @ keep for k in noise),
+        lose_kraus=(lose,) if loss > 0.0 else (),
+    )
+
+
+def _iid_strategy(ops, q):
+    """``ops[0]`` with probability q each round, else ``ops[1]``, as
+    InterceptResend draws its basis."""
+
+    def behavior(prefix, rng):
+        return ops[0] if rng.random() < q else ops[1]
+
+    def schedule(detected, basis_b, draws):
+        return (draws(adversary._rounds(detected, basis_b)) >= q).astype(np.intp)
+
+    return EveStrategy("iid", behavior, ops=ops, schedule=schedule)
+
+
+def _replay_oracle(params, povm, ops, picture):
+    """The probability that a round detects, when every op gives each code
+    the same delivery and detection probability, else None.
+
+    Read from the laws' fields: ``p_deliver`` and the largest cut of
+    ``outcome_cum`` per code (bit, Alice's basis, Bob's basis) in the actual
+    picture, ``p_deliver`` and ``p_detect`` in the others.
+    """
+    if picture is protocol._ACTUAL:
+        basis_a, basis_b = (params.p_z_a, params.p_x_a), (params.p_z_b, params.p_x_b)
+        per_code = [
+            [(law.p_deliver[c >> 1], max(law.outcome_cum[c])) for c in range(8)]
+            for law in (_actual_law(povm, op) for op in ops)
+        ]
+        p_hit = sum(
+            0.5 * basis_a[c >> 1 & 1] * basis_b[c & 1] * deliver * detect
+            for c, (deliver, detect) in enumerate(per_code[0])
+        )
+    else:
+        per_code = [
+            (law.p_deliver, law.p_detect) for law in (_virtual_law(povm, op) for op in ops)
+        ]
+        p_hit = per_code[0][0] * per_code[0][1]
+    shared = all(codes == per_code[0] for codes in per_code)
+    return p_hit if shared and p_hit > 0.0 else None
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    weight=st.floats(0.0, 1.0),
+    loss=st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]) | st.floats(0.05, 0.95),
+    by_code=st.booleans(),
+    second=st.sampled_from([None, "x", "y", "z", "random"]),
+    q=st.floats(0.0, 1.0),
+    eta=st.sampled_from([1.0, 0.8]) | st.floats(0.05, 1.0),
+    p_z=st.tuples(_BASIS_DRAW, _BASIS_DRAW),
+    n=st.integers(1, 1200),
+    slack=st.floats(0.8, 1.4),
+    picture=st.sampled_from([protocol._ACTUAL, protocol._VIRTUAL, protocol._ESTIMATION]),
+    stream=st.integers(0, 2**32 - 1),
+)
+@example(  # loss by code that the unitary leaves unequal: the per-code delivery branch
+    seed=3, weight=0.1, loss=0.6, by_code=True, second=None, q=0.5, eta=0.8,
+    p_z=(0.5, 0.5), n=300, slack=1.4, picture=protocol._ACTUAL, stream=1,
+)
+@example(  # two ops of one law, drawn i.i.d.
+    seed=4, weight=0.2, loss=0.3, by_code=True, second="z", q=0.4, eta=0.8,
+    p_z=(0.09999999999999999, 0.9), n=300, slack=1.4, picture=protocol._VIRTUAL, stream=2,
+)
+def test_replays_are_admitted_by_the_laws_and_equal_the_round_loop(
+    seed, weight, loss, by_code, second, q, eta, p_z, n, slack, picture, stream
+):
+    op = _random_channel(seed, weight, loss, by_code)
+    if second is None:
+        eve = adversary._constant("one", op)
+    elif second == "random":
+        eve = _iid_strategy((op, _random_channel(seed + 1, weight, loss, by_code)), q)
+    else:  # a Pauli after the channel: often the same law, to the last bit
+        pauli = _PAULIS[second]
+        other = ChannelOp(tuple(pauli @ k for k in op.deliver_kraus), op.lose_kraus)
+        eve = _iid_strategy((op, other), q)
+    povm = ideal_povm() if eta == 1.0 else detection_povm(eta)
+    params = _params(n=n, p_z_a=p_z[0], p_x_a=1.0 - p_z[0], p_z_b=p_z[1], p_x_b=1.0 - p_z[1])
+    p_hit = _replay_oracle(params, povm, eve.ops, picture)
+    assert (protocol._replayer(params, eve, povm, picture) is None) == (p_hit is None)
+    if p_hit is None:
+        return
+    max_rounds = max(n, min(int(slack * n / p_hit), _MAX_ROUNDS_CAP))
+    params = dataclasses.replace(params, max_rounds=max_rounds)
+    where = (picture, max_rounds)
+    if picture is not protocol._ESTIMATION:
+        _assert_same_session(*_loop_and_replay(params, eve, povm, picture, stream), where)
+        return
+    outcomes = []
+    for count in (
+        lambda rng: estimation_counts(run_estimation(params, eve, rng, povm)),
+        replay_counter(params, eve, povm),
+    ):
+        try:
+            outcomes.append(count(random.Random(stream)))
+        except MaxRoundsExceeded as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1], where
 
 
 # -- post-processing ------------------------------------------------------------
