@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -155,6 +156,13 @@ def test_a_config_without_a_required_param_names_it(field):
         config_from_dict(dict(MINIMAL, params=params))
 
 
+def test_a_config_root_or_params_that_is_no_object_is_a_parse_error():
+    with pytest.raises(ParseError, match="^config root must be an object, got list$"):
+        config_from_dict([])
+    with pytest.raises(ParseError, match="^field 'params' must be an object$"):
+        config_from_dict(dict(MINIMAL, params=1))
+
+
 def test_inconsistent_basis_probabilities_fail_validation():
     doc = dict(MINIMAL, params=dict(MINIMAL["params"], p_z_a=0.5, p_x_a=0.4))
     with pytest.raises(ValidationError, match="basis probabilities"):
@@ -182,6 +190,8 @@ def test_rule_from_dict_errors():
     ) == CountPerBasis(2, 1)
     for rule in (CountDetected(4), CountPerBasis(2, 1)):
         assert rule_from_dict(rule_to_dict(rule)) == rule
+    with pytest.raises(ValidationError, match="unknown termination rule"):
+        rule_to_dict(object())
 
 
 def test_sweep_spec_validation():
@@ -784,3 +794,81 @@ def test_installed_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "cli.json").read_text())["schema"] == SCHEMA_TAG
+
+
+# -- the output docs describe the bytes ----------------------------------------
+
+
+def _output_docs():
+    """Each section of docs/output-formats.md by its heading: the field names
+    of its ``| field | meaning |`` table in order, and its ``CSV column
+    order:`` line as a list of columns, or None."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "output-formats.md")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    sections = {}
+    for block in re.split(r"^#+ ", text, flags=re.M)[1:]:
+        heading, _, body = block.partition("\n")
+        first_cells = re.findall(r"^\| ([^|]+) \|", body, flags=re.M)
+        fields = [name for cell in first_cells for name in re.findall(r"`([^`]+)`", cell)]
+        columns = re.search(r"CSV column order:\s*`([^`]*)`", body)
+        sections[heading] = fields, columns and columns.group(1).split(",")
+    return sections
+
+
+_SMALL_RUNS = {
+    "actual": dict(MINIMAL, mode="actual"),
+    "virtual": dict(MINIMAL, mode="virtual"),
+    "estimation": MINIMAL,
+    "coverage": dict(MINIMAL, mode="coverage", trials=5),
+    "bias": _BIAS,
+    "keyrate-sweep": _SWEEP,
+}
+
+
+def _documented(mode, results):
+    """The objects of a mode's ``results`` that the docs list, by the heading
+    of their table, the mode's own section first."""
+    if mode in ("actual", "virtual", "estimation"):
+        assert list(results) == ["per_trial"]
+        record = results["per_trial"][0]
+        if mode == "estimation":
+            return {"Mode: `estimation`": record}
+        return {
+            "Mode: `actual` and `virtual`": record,
+            "`transcript`": record["transcript"],
+            "`sifted`": record["sifted"],
+        }
+    if mode == "keyrate-sweep":
+        return {"Mode: `keyrate-sweep`": results, "`rows`": results["rows"][0]}
+    return {f"Mode: `{mode}`": results}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_output_docs_list_the_fields_and_columns_of_every_mode(tmp_path, mode):
+    docs = _output_docs()
+    cfg_path = _write(tmp_path, _SMALL_RUNS[mode])
+    text = {}
+    for fmt in ("json", "csv"):
+        out = str(tmp_path / fmt)
+        assert main(["run", "--config", cfg_path, "--out", out, "--format", fmt]) == 0
+        with open(out, encoding="utf-8") as f:
+            text[fmt] = f.read()
+    artifact = json.loads(text["json"])
+    assert list(artifact) == docs["JSON envelope"][0]
+    documented = _documented(mode, artifact["results"])
+    for heading, obj in documented.items():
+        assert list(obj) == docs[heading][0], heading
+    columns = docs[next(iter(documented))][1]
+    sweep = artifact["config"].get("sweep")
+    columns = [sweep["axis"] if c == "<axis>" else c for c in columns]
+    assert next(csv.reader(io.StringIO(text["csv"]))) == columns
+
+
+def test_the_output_docs_list_the_fields_of_the_error_record(tmp_path, capsys):
+    assert main(["run", "--config", _write(tmp_path, "[]")]) == 1
+    record = json.loads(capsys.readouterr().err)
+    fields = []
+    for key, value in record.items():
+        fields += [f"{key}.{sub}" for sub in value] if isinstance(value, dict) else [key]
+    assert fields == _output_docs()["Error record"][0]

@@ -249,6 +249,8 @@ def test_key_length_input_guards():
         key_length(10, 0.1, 1e-4, -1e-9, 0, 1e-4)
     with pytest.raises(DomainError):
         key_length(10, 0.1, 1e-4, 0.0, -1, 1e-4)
+    with pytest.raises(DomainError, match="eps_c"):
+        key_length(10, 0.1, 1e-4, 0.0, 0, 1.5)
 
 
 @given(

@@ -73,6 +73,33 @@ def test_toeplitz_fft_path_matches_direct_path():
     assert np.array_equal(got, want)
 
 
+def test_toeplitz_falls_back_to_the_direct_convolution(monkeypatch):
+    # An FFT round trip half a unit from an integer is not trusted; the
+    # patched transform is 0.4 off at one entry of the window.
+    rng = random.Random(12)
+    n, out_len = 4200, 40
+    assert n * (n + out_len - 1) > (1 << 24)
+    bits = random_bits(rng, n)
+    seed = random_bits(rng, n + out_len - 1)
+    irfft, convolve, direct = np.fft.irfft, np.convolve, []
+
+    def off(*args):
+        out = irfft(*args)
+        out[n - 1 + 7] += 0.4
+        return out
+
+    def recorded(*args):
+        direct.append(len(args[0]))
+        return convolve(*args)
+
+    monkeypatch.setattr(np.fft, "irfft", off)
+    monkeypatch.setattr(np, "convolve", recorded)
+    got = toeplitz_hash(bits, out_len, seed)
+    assert direct == [len(seed)]
+    want = oracles.toeplitz_matrix(seed, n, out_len).astype(np.int64) @ bits % 2
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
 def test_toeplitz_degenerate_shapes():
     assert len(toeplitz_hash(np.ones(5, np.uint8), 0, np.ones(4, np.uint8))) == 0
     out = toeplitz_hash(np.zeros(0, np.uint8), 3, np.ones(2, np.uint8))
@@ -102,6 +129,16 @@ def test_random_prime_in_range_and_prime():
         assert is_probable_prime(p)
     with pytest.raises(DomainError):
         random_prime(rng, 1)
+
+
+def test_random_prime_wraps_to_the_bottom_of_its_range():
+    class Draws:
+        def getrandbits(self, k):
+            assert k == 3
+            return 7
+
+    # 15 is the first candidate; 17 is past the range, so 9 and then 11.
+    assert random_prime(Draws(), 3) == 11
 
 
 def test_random_prime_deterministic():

@@ -55,6 +55,7 @@ from qkd_sift.protocol import (
 )
 from qkd_sift.quantum_core import (
     Basis,
+    BobPOVM,
     ChannelOp,
     bell_pair,
     channel_branches,
@@ -831,6 +832,20 @@ def test_session_replay_raises_max_rounds_as_the_round_loop(picture):
         _assert_same_session(got, want, (max_rounds, stream))
         raised += isinstance(want[0], str)
     assert 0 < raised < 36
+
+
+def test_a_detector_that_never_detects_is_not_replayed_and_never_terminates():
+    zero = np.zeros((2, 2))
+    blind = BobPOVM(zero, zero, zero, zero, np.eye(2))
+    assert _virtual_law(blind, IDENTITY.ops[0]) == (1.0, 0.0, None, 0.0, (0.0,) * 3, (0.0,) * 3)
+    params = _params(n=600, max_rounds=2000)
+    for picture in protocol._LAYOUTS:
+        assert protocol._replayer(params, IDENTITY, blind, picture) is None, picture
+    assert replay_counter(params, IDENTITY, blind) is None
+    message = r"^no termination after 2000 rounds \(0 detected\)$"
+    for run in (run_actual, run_virtual, run_estimation):
+        with pytest.raises(MaxRoundsExceeded, match=message):
+            run(params, IDENTITY, derive_stream(10, 0), povm=blind)
 
 
 @pytest.mark.parametrize("picture", _PICTURES)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qkd_sift import quantum_core
 from qkd_sift.adversary import Depolarizing, depolarizing_channel, make_strategy
 from qkd_sift.errors import DomainError, NormalizationError
 from qkd_sift.protocol import _virtual_law
@@ -350,6 +351,14 @@ def test_phase_error_stays_in_unit_interval(seed):
     rho = Density4.from_matrix(m / np.trace(m).real)
     p = prob_phase_error(rho, ideal_povm())
     assert 0.0 <= p <= 1.0
+
+
+def test_phase_error_clips_rounding_dust_below_zero_and_refuses_more(monkeypatch):
+    monkeypatch.setattr(quantum_core, "_tr_product", lambda a, b: -1e-12)
+    assert prob_phase_error(bell_pair(), ideal_povm()) == 0.0
+    monkeypatch.setattr(quantum_core, "_tr_product", lambda a, b: -1e-6)
+    with pytest.raises(NormalizationError, match="below 0"):
+        prob_phase_error(bell_pair(), ideal_povm())
 
 
 def test_phase_error_agrees_with_conditional_projector_oracle():

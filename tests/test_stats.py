@@ -553,6 +553,8 @@ def test_enumeration_guards():
     with pytest.raises(DomainError):
         # p_z = 1 on both sides: an X round never happens, quota never fills
         enumerate_bias(CountPerBasis(1, 1), (1.0, 1.0), 6)
+    with pytest.raises(DomainError, match="unsupported termination rule"):
+        enumerate_bias(object(), (0.5, 0.5), 3)
 
 
 
