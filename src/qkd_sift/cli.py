@@ -28,6 +28,7 @@ from typing import Any, Callable
 from . import finite_key, stats
 from .adversary import (
     Depolarizing,
+    EveStrategy,
     IdentityLossy,
     StrategyConfig,
     make_strategy,
@@ -62,7 +63,7 @@ from .protocol import (
     transcript_rounds_parts,
     transcript_to_json,
 )
-from .quantum_core import detection_povm
+from .quantum_core import BobPOVM, RandomStream, detection_povm
 
 SCHEMA_TAG = "qkd-sift/v1"
 
@@ -232,14 +233,23 @@ def load_config(path: str) -> RunConfig:
 # Mode runners
 
 
-def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
+def _per_trial(
+    cfg: RunConfig, trial: Callable[..., dict], header: list[str]
+) -> tuple[dict, list[str], list[list]]:
+    """A mode of one record per trial: ``trial(eve, stream, povm, i)`` gives
+    trial i's record, and the CSV rows are the records cut to ``header``."""
     povm = detection_povm(cfg.eta_det)
     eve = make_strategy(cfg.strategy)
-    runner = run_actual if cfg.mode == "actual" else run_virtual
-    attach_detail = cfg.trials == 1
+    records = [trial(eve, derive_stream(cfg.seed, i), povm, i) for i in range(cfg.trials)]
+    rows = [[r[c] for c in header] for r in records]
+    return {"per_trial": records}, header, rows
 
-    def one(i: int) -> dict:
-        out = runner(cfg.params, eve, derive_stream(cfg.seed, i), povm=povm)
+
+def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
+    runner = run_actual if cfg.mode == "actual" else run_virtual
+
+    def one(eve: EveStrategy, rng: RandomStream, povm: BobPOVM, i: int) -> dict:
+        out = runner(cfg.params, eve, rng, povm=povm)
         transcript, sifted = out[0], out[1]
         rec = {
             "trial": i,
@@ -249,24 +259,19 @@ def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
             "n_x": sifted.n_x,
             "x_error_weight": sifted.x_error_weight(),
         }
-        if attach_detail:
+        if cfg.trials == 1:
             # Rendered by render_report straight from the columns.
             rec["transcript"] = transcript
             rec["sifted"] = sifted_to_json(sifted)
         return rec
 
-    records = [one(i) for i in range(cfg.trials)]
     header = ["trial", "n_rounds", "n_detected", "n_z", "n_x", "x_error_weight"]
-    rows = [[r[c] for c in header] for r in records]
-    return {"per_trial": records}, header, rows
+    return _per_trial(cfg, one, header)
 
 
 def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
-    povm = detection_povm(cfg.eta_det)
-    eve = make_strategy(cfg.strategy)
-
-    def one(i: int) -> dict:
-        run = run_estimation(cfg.params, eve, derive_stream(cfg.seed, i), povm=povm)
+    def one(eve: EveStrategy, rng: RandomStream, povm: BobPOVM, i: int) -> dict:
+        run = run_estimation(cfg.params, eve, rng, povm=povm)
         lam_ph, lam_xerr, sum_ph, sum_xerr, n_z, n_x = stats.estimation_counts(run)
         return {
             "trial": i,
@@ -280,7 +285,6 @@ def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
             "relation_residual": stats.relation_check(run),
         }
 
-    records = [one(i) for i in range(cfg.trials)]
     header = [
         "trial",
         "n_detected",
@@ -292,8 +296,7 @@ def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
         "sum_p_xerr",
         "relation_residual",
     ]
-    rows = [[r[c] for c in header] for r in records]
-    return {"per_trial": records}, header, rows
+    return _per_trial(cfg, one, header)
 
 
 def _coverage_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:

@@ -63,18 +63,16 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, seed_bits: np.ndarray) -> np.n
         return np.zeros(0, dtype=np.uint8)
     if n == 0:
         return np.zeros(out_len, dtype=np.uint8)
-    if n * (n + out_len - 1) <= _DIRECT_CONV_LIMIT:
-        conv = np.convolve(seed_bits.astype(np.int64), bits.astype(np.int64))
-        return (conv[n - 1 : n - 1 + out_len] % 2).astype(np.uint8)
-    m = 1 << (2 * n + out_len - 2).bit_length()
-    spectrum = np.fft.rfft(seed_bits.astype(np.float64), m)
-    spectrum *= np.fft.rfft(bits.astype(np.float64), m)
-    window = np.fft.irfft(spectrum, m)[n - 1 : n - 1 + out_len]
-    rounded = np.rint(window)
-    if float(np.abs(window - rounded).max()) > 0.25:
-        conv = np.convolve(seed_bits.astype(np.int64), bits.astype(np.int64))
-        return (conv[n - 1 : n - 1 + out_len] % 2).astype(np.uint8)
-    return (rounded.astype(np.int64) % 2).astype(np.uint8)
+    if n * (n + out_len - 1) > _DIRECT_CONV_LIMIT:
+        m = 1 << (2 * n + out_len - 2).bit_length()
+        spectrum = np.fft.rfft(seed_bits.astype(np.float64), m)
+        spectrum *= np.fft.rfft(bits.astype(np.float64), m)
+        window = np.fft.irfft(spectrum, m)[n - 1 : n - 1 + out_len]
+        rounded = np.rint(window)
+        if float(np.abs(window - rounded).max()) <= 0.25:
+            return (rounded.astype(np.int64) % 2).astype(np.uint8)
+    conv = np.convolve(seed_bits.astype(np.int64), bits.astype(np.int64))
+    return (conv[n - 1 : n - 1 + out_len] % 2).astype(np.uint8)
 
 
 def is_probable_prime(n: int) -> bool:

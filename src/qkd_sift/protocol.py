@@ -398,6 +398,9 @@ class _ActualLaw(NamedTuple):
     p_deliver: tuple[float, ...]
     # outcome_cum[4 * bit + 2 * basis_a + basis_b] = (P(bob=0), P(bob in {0,1}))
     outcome_cum: tuple[tuple[float, float], ...]
+    # p_detect[same code]: the readout below which Bob detects a delivered
+    # round, the larger cut of outcome_cum
+    p_detect: tuple[float, ...]
 
 
 class _VirtualLaw(NamedTuple):
@@ -436,7 +439,7 @@ def _actual_law(povm: BobPOVM, op: ChannelOp) -> _ActualLaw:
                         f"three-outcome probabilities sum to {total!r}"
                     )
                 outcome_cum.append((p0, p0 + p1))
-    return _ActualLaw(tuple(p_deliver), tuple(outcome_cum))
+    return _ActualLaw(tuple(p_deliver), tuple(outcome_cum), tuple(map(max, outcome_cum)))
 
 
 @functools.lru_cache(maxsize=512)
@@ -813,31 +816,30 @@ def _replayer(
     """The replay of ``picture``'s sessions as a function of the stream, or None.
 
     A replay needs ``eve.schedule``, and laws of all of ``eve.ops`` under
-    which the draws that decide a round do not depend on the op: in the
-    actual picture the same ``p_deliver`` and probability that Bob detects,
-    for every bit and pair of bases; otherwise the same
-    ``(p_deliver, p_detect)``.  A round must also detect with positive
+    which the draws that decide a round do not depend on the op: the same
+    ``(p_deliver, p_detect)``, which in the actual picture are tuples over
+    the bit and the pair of bases.  A round must also detect with positive
     probability, so all-loss laws run the loop.  A replay stops at the n-th
     detection, so the actual and virtual pictures, which announce the
     rounds in flight past it, need ``batch_size`` 1.  Nothing is drawn here.
     """
     if not eve.schedule or not eve.ops or (picture is not _ESTIMATION and params.batch_size > 1):
         return None
+    law_of = _actual_law if picture is _ACTUAL else _virtual_law
+    laws = [law_of(povm, op) for op in eve.ops]
+    if len({(law.p_deliver, law.p_detect) for law in laws}) != 1:
+        return None
     if picture is _ACTUAL:
-        laws = [_actual_law(povm, op) for op in eve.ops]
-        shared = {(law.p_deliver, _detection(law)) for law in laws}
         a_probs = (params.p_z_a, params.p_x_a)
         b_probs = (params.p_z_b, params.p_x_b)
         # By the codes of _ActualLaw: 2 * bit + Alice's basis, then Bob's basis.
         sent = [0.5 * a_probs[c & 1] * p for c, p in enumerate(laws[0].p_deliver)]
         p_deliver = sum(sent)
-        p_hit = sum(sent[c >> 1] * b_probs[c & 1] * d for c, d in enumerate(_detection(laws[0])))
+        p_hit = sum(sent[c >> 1] * b_probs[c & 1] * d for c, d in enumerate(laws[0].p_detect))
     else:
-        laws = [_virtual_law(povm, op) for op in eve.ops]
-        shared = {(law.p_deliver, law.p_detect) for law in laws}
         p_deliver = laws[0].p_deliver
         p_hit = p_deliver * laws[0].p_detect
-    if len(shared) != 1 or not p_hit > 0.0:
+    if not p_hit > 0.0:
         return None
     _, skip, strides = _LAYOUTS[picture]
     per_round = skip + p_deliver * (strides[0] - skip) + p_hit * (strides[1] - strides[0])
@@ -854,11 +856,6 @@ def _replayer(
         _dyadic([params.q_x * law.t_phase for law in laws]),
     )
     return functools.partial(_replay_counts, params, eve.schedule, laws[0], tally, per_detection)
-
-
-def _detection(law: _ActualLaw) -> tuple[float, ...]:
-    """The readouts below which Bob detects, in the order of ``law.outcome_cum``."""
-    return tuple(max(cum) for cum in law.outcome_cum)
 
 
 def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
@@ -1083,7 +1080,7 @@ def _replay_session(
     p_z_a, p_z_b = params.p_z_a, params.p_z_b
     if picture is _ACTUAL:
         deliver = np.array(laws[0].p_deliver)
-        detect = np.array(_detection(laws[0]))
+        detect = np.array(laws[0].p_detect)
 
         def delivery(w, limit):
             # Every delivered round is below the largest p_deliver; where the

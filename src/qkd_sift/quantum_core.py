@@ -17,8 +17,11 @@ layer depends on that exactness.
 The module keeps no caches.  Each derived operator (the Kraus operators
 lifted to the pair, the detection filter, Bob's conditional elements and the
 phase-error effect) is built inside the one function that reads it.  The
-protocol layer calls these functions only while building a round law, and it
-caches each law per (POVM, op) value.
+square root and the pseudo-inverse square root of a PSD matrix are one
+eigenvalue helper with two maps, and every branch of a two-branch map is
+normalized by one helper, which gives None for a branch below
+:data:`BRANCH_EPS`.  The protocol layer calls these functions only while
+building a round law, and it caches each law per (POVM, op) value.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, NamedTuple, TypeVar
+from typing import Callable, ClassVar, NamedTuple, TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -193,32 +196,27 @@ class ChannelOp(_ValueKeyed):
         object.__setattr__(self, "_key", key)
 
 
-def _psd_sqrt(m: Matrix) -> Matrix:
-    """Principal square root of a PSD matrix.
+def _psd_function(m: Matrix, f: Callable[[np.ndarray], np.ndarray]) -> Matrix:
+    """``f`` applied to the eigenvalues of the Hermitian matrix ``m``.
 
     Exactly diagonal input takes an element-wise path so that e.g. the ideal
     filter (m_fail = 0) yields the identity with zero rounding dust.
     """
     off = m - np.diag(np.diag(m))
     if not off.any():
-        return np.diag(np.sqrt(np.clip(np.diag(m).real, 0.0, None))).astype(
-            np.complex128
-        )
+        return np.diag(f(np.diag(m).real)).astype(np.complex128)
     w, u = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.conj().T
+    return (u * f(w)) @ u.conj().T
 
 
-def _psd_pinv_sqrt(m: Matrix) -> Matrix:
-    """Pseudo-inverse square root (zero eigenvalues stay zero)."""
-    off = m - np.diag(np.diag(m))
-    if not off.any():
-        d = np.diag(m).real
-        inv = np.where(d > _SUPPORT_EIG_CUTOFF, 1.0 / np.sqrt(np.clip(d, 1e-300, None)), 0.0)
-        return np.diag(inv).astype(np.complex128)
-    w, u = np.linalg.eigh(m)
-    inv = np.where(w > _SUPPORT_EIG_CUTOFF, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
-    return (u * inv) @ u.conj().T
+def _sqrt(w: np.ndarray) -> np.ndarray:
+    """Principal square root of PSD eigenvalues, clipped of negative dust."""
+    return np.sqrt(np.clip(w, 0.0, None))
+
+
+def _pinv_sqrt(w: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse square root: eigenvalues off the support stay zero."""
+    return np.where(w > _SUPPORT_EIG_CUTOFF, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +271,7 @@ def _conditional_elements(povm: BobPOVM, basis: Basis) -> tuple[Matrix, Matrix]:
     so applying them to a post-filter state reproduces
     Tr(M_{b,basis} rho) / Tr((I - m_fail) rho).
     """
-    w = _psd_pinv_sqrt(_I2 - povm.m_fail)
+    w = _psd_function(_I2 - povm.m_fail, _pinv_sqrt)
     return w @ povm.element(0, basis) @ w, w @ povm.element(1, basis) @ w
 
 
@@ -344,14 +342,21 @@ def channel_branches(rho: Density4, ch: ChannelOp) -> BranchSplit:
     probability below :data:`BRANCH_EPS` gets state ``None``.
     """
     m = rho.mat
-    p_del, rho_del = _branch_apply(m, tuple(np.kron(_I2, k) for k in ch.deliver_kraus))
+    p_del, raw_del = _branch_apply(m, tuple(np.kron(_I2, k) for k in ch.deliver_kraus))
     p_lose, raw_lose = _branch_apply(m, tuple(np.kron(_I2, k) for k in ch.lose_kraus))
-    out_del = Density4._wrap(rho_del / p_del) if p_del >= BRANCH_EPS else None
-    out_lose = None
-    if p_lose >= BRANCH_EPS:
-        a_side = np.einsum("ibjb->ij", (raw_lose / p_lose).reshape(2, 2, 2, 2))
-        out_lose = Density4._wrap(np.kron(a_side, JUNK_B))
-    return BranchSplit(p_del, out_del, p_lose, out_lose)
+    out_del = _branch_state(Density4._wrap, raw_del, p_del)
+    return BranchSplit(p_del, out_del, p_lose, _branch_state(_junk_b, raw_lose, p_lose))
+
+
+def _junk_b(m: Matrix) -> Density4:
+    """The pair state with A's side of ``m`` and Bob's system replaced by JUNK_B."""
+    return Density4._wrap(np.kron(np.einsum("ibjb->ij", m.reshape(2, 2, 2, 2)), JUNK_B))
+
+
+def _branch_state(wrap: Callable[[Matrix], _D], raw: Matrix, p: float) -> _D | None:
+    """``wrap(raw / p)``, the normalized state of a branch of probability
+    ``p``, or None when the branch is below :data:`BRANCH_EPS`."""
+    return wrap(raw / p) if p >= BRANCH_EPS else None
 
 
 def _branch_apply(m: Matrix, kraus: tuple[Matrix, ...]) -> tuple[float, Matrix]:
@@ -365,16 +370,11 @@ def _branch_apply(m: Matrix, kraus: tuple[Matrix, ...]) -> tuple[float, Matrix]:
 
 def filter_branches(rho: Density4, povm: BobPOVM) -> BranchSplit:
     """Detection filter {sqrt(I - m_fail), sqrt(m_fail)} applied on side B."""
-    m = rho.mat
-    kd = np.kron(_I2, _psd_sqrt(_I2 - povm.m_fail))
-    kf = np.kron(_I2, _psd_sqrt(povm.m_fail))
-    det_raw = kd @ m @ kd.conj().T
-    fail_raw = kf @ m @ kf.conj().T
-    p_det = float(det_raw.trace().real)
-    p_fail = float(fail_raw.trace().real)
-    rho_det = Density4._wrap(det_raw / p_det) if p_det >= BRANCH_EPS else None
-    rho_fail = Density4._wrap(fail_raw / p_fail) if p_fail >= BRANCH_EPS else None
-    return BranchSplit(p_det, rho_det, p_fail, rho_fail)
+    split = []
+    for element in (_I2 - povm.m_fail, povm.m_fail):
+        p, raw = _branch_apply(rho.mat, (np.kron(_I2, _psd_function(element, _sqrt)),))
+        split += [p, _branch_state(Density4._wrap, raw, p)]
+    return BranchSplit(*split)
 
 
 def pair_outcome_probs(
@@ -430,8 +430,7 @@ def qubit_channel_branches(
     p_lose = 0.0
     for k in ch.lose_kraus:
         p_lose += _tr_product(k.conj().T @ k, m)
-    out = Density2._wrap(raw / p_del) if p_del >= BRANCH_EPS else None
-    return p_del, out, p_lose
+    return p_del, _branch_state(Density2._wrap, raw, p_del), p_lose
 
 
 def qubit_outcome_probs(
