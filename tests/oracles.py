@@ -88,6 +88,18 @@ _KM = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 SOURCE_KETS = {("Z", 0): _K0, ("Z", 1): _K1, ("X", 0): _KP, ("X", 1): _KM}
 
 
+def psd_root(m: np.ndarray) -> np.ndarray:
+    """Square root of a PSD matrix, by its eigendecomposition."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random 2x2 unitary, from the QR decomposition of a Gaussian matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def _proj(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 

@@ -929,22 +929,16 @@ _BASIS_DRAW = st.sampled_from([0.5, 0.7, 0.0, 1.0, 0.09999999999999999]) | st.fl
 _MAX_ROUNDS_CAP = 20_000
 
 
-def _psd_sqrt(m):
-    w, v = np.linalg.eigh(m)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
 def _random_channel(seed, weight, loss, by_code):
     """Depolarizing of ``weight``, then a random unitary; the loss is ``loss``
     for every state, or by code up to ``loss`` along a random axis."""
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    u = oracles.random_unitary(rng)
     if by_code:
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         lost = g @ g.conj().T
         lost *= loss / np.linalg.eigvalsh(lost).max()
-        keep, lose = _psd_sqrt(np.eye(2) - lost), _psd_sqrt(lost)
+        keep, lose = oracles.psd_root(np.eye(2) - lost), oracles.psd_root(lost)
     else:
         keep, lose = math.sqrt(1.0 - loss) * np.eye(2), math.sqrt(loss) * np.eye(2)
     noise = [math.sqrt(1.0 - weight) * np.eye(2)]

@@ -97,16 +97,6 @@ def test_source_states_are_rank_one_projectors(bit, basis):
 # Channels
 
 
-def _psd_root(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def _random_unitary(rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _random_kraus_pair(rng: np.random.Generator) -> ChannelOp:
     """A random genuinely two-branch trace-preserving op.
 
@@ -116,8 +106,8 @@ def _random_kraus_pair(rng: np.random.Generator) -> ChannelOp:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     a = g @ g.conj().T
     a *= 0.9 / max(np.linalg.eigvalsh(a).max(), 1e-9)
-    k_del = _random_unitary(rng) @ _psd_root(a)
-    k_lose = _random_unitary(rng) @ _psd_root(np.eye(2) - a)
+    k_del = oracles.random_unitary(rng) @ oracles.psd_root(a)
+    k_lose = oracles.random_unitary(rng) @ oracles.psd_root(np.eye(2) - a)
     return ChannelOp(deliver_kraus=(k_del,), lose_kraus=(k_lose,))
 
 
@@ -389,7 +379,7 @@ def test_phase_error_agrees_with_conditional_projector_oracle():
 # are S P S with S = (I - m_fail)^(1/2), written from U, so the conditional
 # elements W (S P S) W with W = S^-1 are the projectors P themselves.
 _FAIL_EIGS = np.array([0.1, 0.35])
-_U = _random_unitary(np.random.default_rng(11))
+_U = oracles.random_unitary(np.random.default_rng(11))
 _S = (_U * np.sqrt(1.0 - _FAIL_EIGS)) @ _U.conj().T
 
 
