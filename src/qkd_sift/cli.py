@@ -236,11 +236,12 @@ def load_config(path: str) -> RunConfig:
 def _per_trial(
     cfg: RunConfig, trial: Callable[..., dict], header: list[str]
 ) -> tuple[dict, list[str], list[list]]:
-    """A mode of one record per trial: ``trial(eve, stream, povm, i)`` gives
-    trial i's record, and the CSV rows are the records cut to ``header``."""
+    """A mode of one record per trial: its index, then the fields that
+    ``trial(eve, stream, povm)`` gives; the CSV rows cut them to ``header``."""
     povm = detection_povm(cfg.eta_det)
     eve = make_strategy(cfg.strategy)
-    records = [trial(eve, derive_stream(cfg.seed, i), povm, i) for i in range(cfg.trials)]
+    streams = (derive_stream(cfg.seed, i) for i in range(cfg.trials))
+    records = [{"trial": i, **trial(eve, rng, povm)} for i, rng in enumerate(streams)]
     rows = [[r[c] for c in header] for r in records]
     return {"per_trial": records}, header, rows
 
@@ -248,11 +249,10 @@ def _per_trial(
 def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
     runner = run_actual if cfg.mode == "actual" else run_virtual
 
-    def one(eve: EveStrategy, rng: RandomStream, povm: BobPOVM, i: int) -> dict:
+    def one(eve: EveStrategy, rng: RandomStream, povm: BobPOVM) -> dict:
         out = runner(cfg.params, eve, rng, povm=povm)
         transcript, sifted = out[0], out[1]
         rec = {
-            "trial": i,
             "n_rounds": len(transcript.rounds),
             "n_detected": transcript.n_detected,
             "n_z": sifted.n_z,
@@ -270,11 +270,10 @@ def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
 
 
 def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
-    def one(eve: EveStrategy, rng: RandomStream, povm: BobPOVM, i: int) -> dict:
+    def one(eve: EveStrategy, rng: RandomStream, povm: BobPOVM) -> dict:
         run = run_estimation(cfg.params, eve, rng, povm=povm)
         lam_ph, lam_xerr, sum_ph, sum_xerr, n_z, n_x = stats.estimation_counts(run)
         return {
-            "trial": i,
             "n_detected": run.transcript.n_detected,
             "n_z": n_z,
             "n_x": n_x,

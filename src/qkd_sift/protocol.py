@@ -394,12 +394,14 @@ def _eve_stream(rng: RandomStream, schedule: Schedule | None) -> RandomStream | 
 
 
 class _ActualLaw(NamedTuple):
+    """``p_detect[c]`` is the readout below which Bob detects a delivered round
+    of code c, the larger cut of ``outcome_cum[c]``: with ``p_deliver`` it
+    decides a round, as ``(p_deliver, p_detect)`` of a :class:`_VirtualLaw` do."""
+
     # A basis counts 0 for Z and 1 for X.  p_deliver[2 * bit + basis_a]
     p_deliver: tuple[float, ...]
     # outcome_cum[4 * bit + 2 * basis_a + basis_b] = (P(bob=0), P(bob in {0,1}))
     outcome_cum: tuple[tuple[float, float], ...]
-    # p_detect[same code]: the readout below which Bob detects a delivered
-    # round, the larger cut of outcome_cum
     p_detect: tuple[float, ...]
 
 

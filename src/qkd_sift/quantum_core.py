@@ -16,12 +16,10 @@ layer depends on that exactness.
 
 The module keeps no caches.  Each derived operator (the Kraus operators
 lifted to the pair, the detection filter, Bob's conditional elements and the
-phase-error effect) is built inside the one function that reads it.  The
-square root and the pseudo-inverse square root of a PSD matrix are one
-eigenvalue helper with two maps, and every branch of a two-branch map is
-normalized by one helper, which gives None for a branch below
-:data:`BRANCH_EPS`.  The protocol layer calls these functions only while
-building a round law, and it caches each law per (POVM, op) value.
+phase-error effect) is built inside the one function that reads it; both PSD
+roots are one eigenvalue helper, and one helper normalizes every branch state.
+The protocol layer calls these functions only while building a round law, and
+it caches each law per (POVM, op) value.
 """
 
 from __future__ import annotations
@@ -354,8 +352,7 @@ def _junk_b(m: Matrix) -> Density4:
 
 
 def _branch_state(wrap: Callable[[Matrix], _D], raw: Matrix, p: float) -> _D | None:
-    """``wrap(raw / p)``, the normalized state of a branch of probability
-    ``p``, or None when the branch is below :data:`BRANCH_EPS`."""
+    """``wrap(raw / p)``, or None when ``p`` is below :data:`BRANCH_EPS`."""
     return wrap(raw / p) if p >= BRANCH_EPS else None
 
 
