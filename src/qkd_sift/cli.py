@@ -308,7 +308,10 @@ def _coverage_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
         povm=detection_povm(cfg.eta_det),
     )
     report = stats.coverage_report(trial_stats, cfg.params.delta)
-    eta_single = math.exp(-cfg.params.n_det_ter * cfg.params.delta**2 / 2.0)
+    try:
+        eta_single = math.exp(-cfg.params.n_det_ter * cfg.params.delta**2 / 2.0)
+    except OverflowError:  # delta**2 is past the float range, so the tail is 0
+        eta_single = 0.0
     results = {
         "trials": report.trials,
         "violations_ph": report.violations_ph,

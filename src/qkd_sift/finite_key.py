@@ -154,12 +154,20 @@ def key_length(
 
 
 def ec_syndrome_cost(n_z: int, error_rate: float, f_ec: float) -> int:
-    """Bits disclosed by error correction: ceil(f_ec * n_z * h(error_rate))."""
+    """Bits disclosed by error correction: ceil(f_ec * n_z * h(error_rate)).
+
+    Raises :class:`DomainError` when that product is not finite: it
+    overflows for a large enough ``f_ec * n_z``, and is then NaN when
+    ``h(error_rate)`` is 0.
+    """
     n_z = as_count(n_z, "n_z", 0)
     # Each check is written so that a NaN fails it.
     if not 1.0 <= f_ec < math.inf:
         raise DomainError(f"f_ec must be finite and >= 1, got {f_ec!r}")
-    return math.ceil(f_ec * n_z * binary_entropy(error_rate))
+    bits = f_ec * n_z * binary_entropy(error_rate)
+    if not math.isfinite(bits):
+        raise DomainError(f"f_ec * n_z * h(error_rate) is not finite: f_ec {f_ec!r}, n_z {n_z}")
+    return math.ceil(bits)
 
 
 def pipeline(sifted: "SiftedData", params: "ProtocolParams") -> KeyLengthResult:

@@ -275,6 +275,15 @@ def azuma_coverage(
 
 _ENUM_MAX_ROUNDS = 12
 
+# A live prefix of the listing walk is one uint32: #Z and #X in the top two
+# nibbles, then one two-bit digit per round (M=1, X=2, Z=3), the first round
+# in the top digit and 0 past the prefix's end.  Word b of this table holds
+# the four letters of code byte b as ASCII in memory order, a space per 0.
+_LETTER_WORDS = np.frombuffer(
+    bytes(b" MXZ"[b >> shift & 3] for b in range(256) for shift in (6, 4, 2, 0)),
+    dtype=np.uint32,
+)
+
 
 @dataclass(frozen=True)
 class BiasReport:
@@ -318,9 +327,9 @@ def enumerate_bias(
     length at a time, counts them.  Each letter's probability is an integer
     over one common denominator d, so every mass is an integer over
     ``d**max_rounds`` and each probability in the report is an exact ratio,
-    rounded once.  A level-by-level walk in NumPy arrays, keeping each live
-    prefix's base-3 code, #Z and #X, lists the terminating sequences of
-    ``t_distribution`` in lexicographic order with M < X < Z.
+    rounded once.  A level-by-level walk in NumPy, keeping each live prefix as
+    one uint32 of its #Z, #X and two-bit letters, lists the terminating
+    sequences of ``t_distribution`` in lexicographic order with M < X < Z.
     """
     if not is_int(max_rounds):
         raise DomainError(f"max_rounds must be an int, got {max_rounds!r}")
@@ -413,47 +422,45 @@ def enumerate_bias(
 
     # Level by level: each level extends every live prefix by every letter
     # and splits off as leaves the prefixes that meet the stopping condition.
-    # Per level: leaf codes padded with M to max_rounds digits, and
-    # compositions (n, #Z, #X) packed as (n*16 + #Z)*16 + #X.
-    digit = np.array(digits, dtype=np.int32)
-    is_x, is_z = digit == 1, digit == 2
-    code = np.zeros(1, dtype=np.int32)
-    c_z = c_x = np.zeros(1, dtype=np.uint8)
-    codes, comps = [], []
+    # A prefix is one uint32 (see _LETTER_WORDS), so a letter adds one
+    # constant: its digit at this level's place and 1 to its count, if any.
+    # Leaf compositions (n, #Z, #X) are packed as (n*16 + #Z)*16 + #X.
+    letter = np.array(digits, dtype=np.uint32) + 1
+    count = np.array([0, 1 << 24, 1 << 28], dtype=np.uint32)[digits]
+    # Some leaf has at least z_req Zs and x_req Xs, so both bounds fit their
+    # nibbles.
+    z_min, x_min = np.uint32(z_req << 28), np.uint32(x_req << 24)
+    prefix = np.zeros(1, dtype=np.uint32)
+    leaves, comps = [], []
     for n in range(1, max_rounds + 1):
-        code = (code[:, None] * 3 + digit).ravel()
-        c_z = (c_z[:, None] + is_z).ravel()
-        c_x = (c_x[:, None] + is_x).ravel()
-        stop = (c_z >= z_req) & (c_x >= x_req) & (n >= n_req)
-        codes.append(code[stop] * 3 ** (max_rounds - n))
-        comps.append((n * 16 + c_z[stop].astype(np.int32)) * 16 + c_x[stop])
-        live = ~stop
-        code, c_z, c_x = code[live], c_z[live], c_x[live]
-        if not len(code):
+        prefix = (prefix[:, None] + (letter << 2 * (_ENUM_MAX_ROUNDS - n) | count)).ravel()
+        if n < n_req:
+            continue
+        stop = (prefix >= z_min) & (prefix & 0x0F000000 >= x_min)
+        leaves.append(prefix[stop])
+        comps.append(leaves[-1] >> 24 | n << 8)
+        prefix = prefix[~stop]
+        if not len(prefix):
             break
     # Each stage frees its arrays before the next: at k = 12 that keeps about
-    # 25 MiB off the peak.
-    del code, c_z, c_x, stop, live
-    leaf_code, comp = np.concatenate(codes), np.concatenate(comps)
-    del codes, comps
-    # No leaf is a prefix of another, so ordering the padded codes orders the
+    # 19 MiB off the peak.
+    del prefix, stop
+    leaf, comp = np.concatenate(leaves), np.concatenate(comps)
+    del leaves, comps
+    # No leaf is a prefix of another, so ordering the codes orders the
     # sequences lexicographically, M < X < Z.
-    order = np.argsort(leaf_code)
-    leaf_code, comp = leaf_code[order], comp[order]
+    order = np.argsort(leaf & 0xFFFFFF)
+    leaf, comp = leaf[order], comp[order]
     del order
 
-    # Each leaf's letters, then a newline, in one buffer: letters past the
-    # leaf's length are masked out.
-    letters = np.empty((len(leaf_code), max_rounds + 1), dtype=np.uint8)
-    letters[:, max_rounds] = ord("\n")
-    for j in reversed(range(max_rounds)):
-        leaf_code, rem = np.divmod(leaf_code, 3)
-        letters[:, j] = np.frombuffer(b"MXZ", dtype=np.uint8)[rem]
-    keep = np.arange(max_rounds + 1, dtype=np.int32) < (comp >> 8)[:, None]
-    keep[:, max_rounds] = True
-    seqs = letters[keep].tobytes().decode("ascii").split("\n")
-    seqs.pop()  # the empty string after the last newline
-    del letters, keep, leaf_code
+    # Each leaf's letters, four to a word from each of its code's three
+    # bytes, then a word of spaces, in one buffer.
+    text = np.empty((len(leaf), 4), dtype=np.uint32)
+    text[:, 3] = _LETTER_WORDS[0]
+    for j, shift in enumerate((16, 8, 0)):
+        np.take(_LETTER_WORDS, leaf >> shift & 255, out=text[:, j])
+    seqs = text.tobytes().decode("ascii").split()
+    del leaf, text
     # One float per composition, shared by its leaves through an object
     # array indexed by the packed composition.
     value = np.empty((max_rounds + 1) << 8, dtype=object)

@@ -281,6 +281,21 @@ def test_coverage_csv_columns(tmp_path):
     assert rows[1][0] == "50"
 
 
+# delta**2 raised OverflowError from 1.35e154 on: a traceback and no record.
+@pytest.mark.parametrize(
+    "delta,eta_single",
+    [(0.05, math.exp(-16 * 0.05**2 / 2.0)), (1e154, 0.0), (1.35e154, 0.0), (1e300, 0.0)],
+)
+def test_coverage_eta_single_is_zero_once_delta_squared_overflows(
+    tmp_path, capsys, delta, eta_single
+):
+    out = tmp_path / "cov.json"
+    doc = _with(dict(MINIMAL, mode="coverage", trials=2), "params", delta=delta)
+    assert main(["run", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["results"]["eta_single"] == eta_single
+
+
 def test_bias_csv_lists_the_conditional_distribution(tmp_path):
     doc = dict(
         MINIMAL,
@@ -608,6 +623,11 @@ _MALFORMED = {
     ),
     "sweep-true": (_with(_SWEEP, "sweep", values=[True, 2]), "ValidationError"),
     "sweep-1e400": (json.dumps(_SWEEP).replace("[8, 16]", "[1e400]"), "ParseError"),
+    # f_ec * n_z * h(e) overflows, and math.ceil raised OverflowError.
+    "sweep-f_ec-1e308": (
+        _with(dict(_SWEEP, strategy={"kind": "depolarizing", "p": 0.1}), "params", f_ec=1e308),
+        "DomainError",
+    ),
     "delta-true": (_with(MINIMAL, "params", delta=True), "ValidationError"),
     "f_ec-true": (_with(MINIMAL, "params", f_ec=True), "ValidationError"),
     "p_z_a-true": (_with(MINIMAL, "params", p_z_a=True), "ValidationError"),

@@ -141,6 +141,15 @@ _TWO_TRIALS = TrialStats(
         lambda: ec_syndrome_cost(100, 0.1, _NAN),
         lambda: ec_syndrome_cost(100, 0.1, math.inf),
         lambda: ec_syndrome_cost(-5, 0.1, 1.2),
+        lambda: ec_syndrome_cost(100, 0.1, 1e308),
+        lambda: ec_syndrome_cost(100, 1.0, 1e308),
+        lambda: pipeline(
+            _sifted(100, 100, 100),
+            ProtocolParams(
+                p_z_a=0.5, p_x_a=0.5, p_z_b=0.5, p_x_b=0.5,
+                n_det_ter=400, eps_s=1e-3, eps_c=1e-6, delta=0.1, f_ec=1e308,
+            ),
+        ),
     ],
     ids=[
         "coverage_report-delta",
@@ -158,6 +167,9 @@ _TWO_TRIALS = TrialStats(
         "ec_syndrome_cost-f_ec",
         "ec_syndrome_cost-f_ec-inf",
         "ec_syndrome_cost-negative-n_z",
+        "ec_syndrome_cost-overflow",
+        "ec_syndrome_cost-overflow-times-h-0",
+        "pipeline-x-error-rate-1-f_ec-1e308",
     ],
 )
 def test_domain_checks_refuse_nan(call):

@@ -680,6 +680,10 @@ def test_enumeration_equals_the_sequence_walk_exactly(family, p_bases):
         (CountDetected(10), (0.5, 0.5), 10),
         (CountPerBasis(3, 1), (0.7, 0.6), 12),
         (CountDetected(12), (0.5, 0.5), 12),
+        # Two letters, M and Z or M and X, at the full code width.  A
+        # per-basis rule never terminates on these: it needs both X and Z.
+        (CountDetected(12), (1.0, 0.3), 12),
+        (CountDetected(12), (0.0, 0.7), 12),
     ],
 )
 def test_enumeration_equals_the_depth_first_walk_at_benchmark_scale(rule, p_bases, k):
