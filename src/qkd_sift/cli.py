@@ -36,6 +36,7 @@ from .adversary import (
     strategy_to_dict,
 )
 from .errors import (
+    _FLOAT_OVERFLOW,
     ConfigError,
     IoError,
     ParseError,
@@ -68,8 +69,6 @@ from .quantum_core import BobPOVM, RandomStream, detection_povm
 SCHEMA_TAG = "qkd-sift/v1"
 
 SWEEP_AXES = ("n_det_ter", "delta", "depolarizing_p", "q_ratio")
-_FLOAT_MAX = sys.float_info.max  # a larger int would overflow float()
-
 _RULE_KINDS = {"count_detected": CountDetected, "count_per_basis": CountPerBasis}
 
 
@@ -88,7 +87,7 @@ class SweepSpec:
         if not self.values:
             raise ValidationError("sweep values must be non-empty")
         for v in self.values:
-            if not (is_real(v) and abs(v) <= _FLOAT_MAX):
+            if not (is_real(v) and abs(v) < _FLOAT_OVERFLOW):
                 raise ValidationError(f"sweep values must be finite real numbers, got {v!r}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValidationError("sweep values must be strictly increasing")
@@ -308,7 +307,7 @@ def _coverage_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
         povm=detection_povm(cfg.eta_det),
     )
     report = stats.coverage_report(trial_stats, cfg.params.delta)
-    try:
+    try:  # perfbench's coverage-lossy check pins this **2 rounding (ROADMAP item 2)
         eta_single = math.exp(-cfg.params.n_det_ter * cfg.params.delta**2 / 2.0)
     except OverflowError:  # delta**2 is past the float range, so the tail is 0
         eta_single = 0.0

@@ -105,6 +105,9 @@ class IoError(QkdSiftError, OSError):
     """An output artifact could not be written."""
 
 
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least int that float() overflows on
+
+
 def is_int(value: object) -> bool:
     """True for an ``int`` that is not a ``bool``, so JSON ``true`` is no count."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -114,7 +117,8 @@ def as_count(value: object, name: str, least: int) -> int:
     """``value`` as a count of at least ``least``: an int or NumPy integer, not a bool.
 
     Anything else raises :class:`DomainError`, a float too, however whole:
-    ``inf`` rounds would claim a bound that never fails.
+    ``inf`` rounds would claim a bound that never fails.  So does an int that
+    no float holds (2**1024 - 2**970 and up), as the bounds mix counts with floats.
     """
     try:
         count = None if isinstance(value, bool) else operator.index(value)
@@ -122,6 +126,8 @@ def as_count(value: object, name: str, least: int) -> int:
         count = None
     if count is None or count < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    if count >= _FLOAT_OVERFLOW:
+        raise DomainError(f"{name} must fit a float, got {count.bit_length()} bits")
     return count
 
 

@@ -68,6 +68,7 @@ import numpy as np
 from . import finite_key, hashing
 from .adversary import EveStrategy, Schedule, _first_op
 from .errors import (
+    _FLOAT_OVERFLOW,
     AbortKeyTooShort,
     AbortVerificationFailed,
     MaxRoundsExceeded,
@@ -130,6 +131,9 @@ class ProtocolParams:
             raise ValidationError("basis probabilities of B must sum to 1 within 1e-12")
         if not is_int(self.n_det_ter) or self.n_det_ter < 1:
             raise ValidationError(f"n_det_ter must be a positive integer, got {self.n_det_ter!r}")
+        if self.n_det_ter >= _FLOAT_OVERFLOW:
+            bits = self.n_det_ter.bit_length()
+            raise ValidationError(f"n_det_ter must fit a float, got {bits} bits")
         for name in ("eps_s", "eps_c"):
             v = getattr(self, name)
             if not (is_real(v) and 0.0 < v < 1.0):
@@ -1410,7 +1414,7 @@ def postprocess(
     tag_a = hashing.poly_hash(f_az, modulus, point)
     tag_b = hashing.poly_hash(f_bz, modulus, point)
     meta = {
-        "toeplitz_seed_hex": np.packbits(seed_bits).tobytes().hex(),
+        "toeplitz_seed_hex": bits_to_hex(seed_bits),
         "poly_modulus": modulus,
         "poly_point": point,
         "tag_a": tag_a,
@@ -1432,8 +1436,6 @@ def postprocess(
 
 def bits_to_hex(bits: np.ndarray) -> str:
     """Pack a 0/1 array MSB-first into hex; pair with the stored bit length."""
-    if len(bits) == 0:
-        return ""
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
 
 

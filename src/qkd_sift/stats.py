@@ -19,6 +19,7 @@ import numpy as np
 
 from .adversary import EveStrategy
 from .errors import DomainError, EnumerationTooLarge, TraceInconsistent, as_count, is_int
+from .finite_key import azuma_tail
 from .quantum_core import BobPOVM
 from .protocol import (
     _XX,
@@ -246,8 +247,7 @@ def estimation_counts(run: EstimationRun) -> tuple[int, int, float, float, int, 
 
 def coverage_report(stats: TrialStats, delta: float) -> CoverageReport:
     """Count deviation violations of both one-sided bounds at one delta."""
-    if not delta >= 0.0:  # a NaN fails too
-        raise DomainError(f"delta must be >= 0, got {delta!r}")
+    tail = azuma_tail(stats.n, delta)  # refuses a negative or NaN delta
     threshold = stats.n * delta
     v_ph = int(np.count_nonzero(stats.lambda_ph - stats.sum_p_ph >= threshold))
     v_xerr = int(np.count_nonzero(stats.sum_p_xerr - stats.lambda_xerr >= threshold))
@@ -255,7 +255,7 @@ def coverage_report(stats: TrialStats, delta: float) -> CoverageReport:
         trials=len(stats.lambda_ph),
         violations_ph=v_ph,
         violations_xerr=v_xerr,
-        eta_claimed=math.exp(-stats.n * delta * delta / 2.0),
+        eta_claimed=tail.eta_single,
         delta=delta,
     )
 
@@ -320,16 +320,16 @@ def enumerate_bias(
     basis pattern.  Sequences that have not terminated after ``max_rounds``
     rounds are excluded and the report is conditioned on the terminating mass.
 
+    A level-by-level walk in NumPy, keeping each live prefix as one uint32
+    of its #Z, #X and two-bit letters, lists the terminating sequences.
     Every arrangement of a composition (length, #Z, #X) has the same product
     probability, so the report needs, per terminating composition, only the
     number of its terminating arrangements and their X->X and X->Z
-    adjacencies.  A DP over the live states (#Z, #X, last letter was X), one
-    length at a time, counts them.  Each letter's probability is an integer
-    over one common denominator d, so every mass is an integer over
-    ``d**max_rounds`` and each probability in the report is an exact ratio,
-    rounded once.  A level-by-level walk in NumPy, keeping each live prefix as
-    one uint32 of its #Z, #X and two-bit letters, lists the terminating
-    sequences of ``t_distribution`` in lexicographic order with M < X < Z.
+    adjacencies, which are counted over the listed sequences.  Each letter's
+    probability is an integer over one common denominator d, so every mass
+    is an integer over ``d**max_rounds`` and each probability in the report
+    is an exact ratio, rounded once.  ``t_distribution`` lists the sequences
+    in lexicographic order with M < X < Z.
     """
     if not is_int(max_rounds):
         raise DomainError(f"max_rounds must be an int, got {max_rounds!r}")
@@ -366,60 +366,6 @@ def enumerate_bias(
     # The letters of nonzero probability, coded M=0, X=1, Z=2.
     digits = [digit for digit, a in enumerate((a_m, a_x, a_z)) if a]
 
-    # Each live state (#Z, #X, last letter was X) carries [its prefixes,
-    # their X->X adjacencies, their X->Z adjacencies]; a prefix that meets the
-    # stopping condition adds its numbers to its composition (n, #Z, #X).
-    live = {(0, 0, False): [1, 0, 0]}
-    tally: dict[tuple[int, int, int], list[int]] = {}
-    for n in range(1, max_rounds + 1):
-        grown: dict[tuple[int, int, bool], list[int]] = {}
-        for (c_z, c_x, after_x), (count, xx, xz) in live.items():
-            for letter in digits:
-                is_x, is_z = letter == 1, letter == 2
-                z, x = c_z + is_z, c_x + is_x
-                if n >= n_req and z >= z_req and x >= x_req:
-                    sums = tally.setdefault((n, z, x), [0, 0, 0])
-                else:
-                    sums = grown.setdefault((z, x, is_x), [0, 0, 0])
-                sums[0] += count
-                sums[1] += xx + count * (after_x and is_x)
-                sums[2] += xz + count * (after_x and is_z)
-        live = grown
-        if not live:
-            break
-    if not tally:
-        raise DomainError("no sequence terminates within max_rounds")
-
-    # Deterministic prefix-correlated error pattern: an error occurs at round
-    # i exactly when round i-1 was a test round, so test errors are X->X
-    # adjacencies and code errors X->Z ones.  Under an exchangeable rule the
-    # error rates on test and code positions coincide; a rule whose stopping
-    # time reads the announcements drives them apart.  Each rate is a ratio
-    # of two masses, so their common 1/total factor is left out.  Every mass
-    # is an integer over d**max_rounds.
-    mass: dict[tuple[int, int, int], int] = {}
-    total = err_test = err_code = mass_test = mass_code = 0
-    tv = Fraction(0)
-    for key, (n_term, xx, xz) in tally.items():
-        n, c_z, c_x = key
-        c_m = n - c_z - c_x
-        m = mass[key] = a_z**c_z * a_x**c_x * a_m**c_m * d ** (max_rounds - n)
-        total += m * n_term
-        # Within a composition the conditional law is uniform over the
-        # *terminating* arrangements; TV against uniform-over-all-arrangements
-        # is 1 - |S| / M.
-        arrangements = math.factorial(n) // (
-            math.factorial(c_z) * math.factorial(c_x) * math.factorial(c_m)
-        )
-        tv += Fraction(m * n_term * (arrangements - n_term), arrangements)
-        err_test += m * xx
-        err_code += m * xz
-        mass_test += m * n_term * c_x
-        mass_code += m * n_term * c_z
-    # A rate over zero mass is 0, and its error sum is then 0 too, so the
-    # rates differ exactly when the cross products do.
-    mass_test, mass_code = mass_test or 1, mass_code or 1
-
     # Level by level: each level extends every live prefix by every letter
     # and splits off as leaves the prefixes that meet the stopping condition.
     # A prefix is one uint32 (see _LETTER_WORDS), so a letter adds one
@@ -447,6 +393,52 @@ def enumerate_bias(
     del prefix, stop
     leaf, comp = np.concatenate(leaves), np.concatenate(comps)
     del leaves, comps
+
+    # Per composition: its terminating arrangements and their X->X and X->Z
+    # adjacencies.  A letter's high bit is set for X and Z and its low bit
+    # for M and Z; the next letter sits two bits lower.  The 0 digits past a
+    # sequence's end have a clear low bit too, so each flag needs the high bit.
+    x = leaf & ~(leaf << 1) & 0xAAAAAA
+    z = leaf & (leaf << 1) & 0xAAAAAA
+    weights = (None, np.bitwise_count(x >> 2 & x), np.bitwise_count(x >> 2 & z))
+    sums = [np.bincount(comp, w) for w in weights]
+    del x, z, weights
+    keys = np.flatnonzero(sums[0]).tolist()
+    tally = {key: [int(column[key]) for column in sums] for key in keys}  # exact with the masses
+    del sums
+    if not tally:
+        raise DomainError("no sequence terminates within max_rounds")
+
+    # Deterministic prefix-correlated error pattern: an error occurs at round
+    # i exactly when round i-1 was a test round, so test errors are X->X
+    # adjacencies and code errors X->Z ones.  Under an exchangeable rule the
+    # error rates on test and code positions coincide; a rule whose stopping
+    # time reads the announcements drives them apart.  Each rate is a ratio
+    # of two masses, so their common 1/total factor is left out.  Every mass
+    # is an integer over d**max_rounds.
+    mass: dict[int, int] = {}
+    total = err_test = err_code = mass_test = mass_code = 0
+    tv = Fraction(0)
+    for key, (n_term, xx, xz) in tally.items():
+        n, c_z, c_x = key >> 8, key >> 4 & 15, key & 15
+        c_m = n - c_z - c_x
+        m = mass[key] = a_z**c_z * a_x**c_x * a_m**c_m * d ** (max_rounds - n)
+        total += m * n_term
+        # Within a composition the conditional law is uniform over the
+        # *terminating* arrangements; TV against uniform-over-all-arrangements
+        # is 1 - |S| / M.
+        arrangements = math.factorial(n) // (
+            math.factorial(c_z) * math.factorial(c_x) * math.factorial(c_m)
+        )
+        tv += Fraction(m * n_term * (arrangements - n_term), arrangements)
+        err_test += m * xx
+        err_code += m * xz
+        mass_test += m * n_term * c_x
+        mass_code += m * n_term * c_z
+    # A rate over zero mass is 0, and its error sum is then 0 too, so the
+    # rates differ exactly when the cross products do.
+    mass_test, mass_code = mass_test or 1, mass_code or 1
+
     # No leaf is a prefix of another, so ordering the codes orders the
     # sequences lexicographically, M < X < Z.
     order = np.argsort(leaf & 0xFFFFFF)
@@ -464,8 +456,8 @@ def enumerate_bias(
     # One float per composition, shared by its leaves through an object
     # array indexed by the packed composition.
     value = np.empty((max_rounds + 1) << 8, dtype=object)
-    for (n, c_z, c_x), m in mass.items():
-        value[(n * 16 + c_z) * 16 + c_x] = m / total
+    for key, m in mass.items():
+        value[key] = m / total
     return BiasReport(
         rule=rule,
         n_rounds_enumerated=max_rounds,

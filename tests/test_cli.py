@@ -201,9 +201,10 @@ def test_sweep_spec_validation():
         SweepSpec("delta", ())
     with pytest.raises(ValidationError, match="strictly increasing"):
         SweepSpec("delta", (0.2, 0.1))
-    for bad in ("0.01", True, None, math.inf, -math.inf, math.nan, 10**400):
+    for bad in ("0.01", True, None, math.inf, -math.inf, math.nan, 10**400, 2**1024 - 2**970):
         with pytest.raises(ValidationError, match="finite real"):
             SweepSpec("delta", (0.0, bad))
+    SweepSpec("delta", (0.0, 2**1024 - 2**970 - 1))  # float() rounds it into the range
 
 
 def test_config_round_trips_through_dict_and_file(tmp_path):
@@ -590,6 +591,9 @@ def _with(base, key, **fields):
     return dict(base, **{key: {**base.get(key, {}), **fields}})
 
 
+_DELTA_SWEEP = dict(_SWEEP, sweep={"axis": "delta", "values": [0.01, 0.02]})
+
+
 # Each config once exited 0 with an artifact or died with a traceback.
 _MALFORMED = {
     "n_det_ter-true": (_with(MINIMAL, "params", n_det_ter=True), "ValidationError"),
@@ -628,6 +632,8 @@ _MALFORMED = {
         _with(dict(_SWEEP, strategy={"kind": "depolarizing", "p": 0.1}), "params", f_ec=1e308),
         "DomainError",
     ),
+    # round(n * q_z) raised OverflowError for a round count past the float range.
+    "n_det_ter-10**400": (_with(_DELTA_SWEEP, "params", n_det_ter=10**400), "ValidationError"),
     "delta-true": (_with(MINIMAL, "params", delta=True), "ValidationError"),
     "f_ec-true": (_with(MINIMAL, "params", f_ec=True), "ValidationError"),
     "p_z_a-true": (_with(MINIMAL, "params", p_z_a=True), "ValidationError"),
@@ -659,6 +665,18 @@ def test_main_refuses_a_malformed_number(tmp_path, capsys, case):
     assert err["schema"] == SCHEMA_TAG
     assert err["error"]["type"] == error
     assert not out.exists()
+
+
+def test_round_counts_a_float_holds_still_write_an_artifact(tmp_path):
+    out = tmp_path / "out.json"
+    doc = _with(_DELTA_SWEEP, "params", n_det_ter=10**306)
+    assert main(["run", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]["rows"]
+    assert [row["l"] > 0 for row in rows] == [True, True]
+    largest = 2**1024 - 2**970 - 1  # float() rounds one more past the range
+    with pytest.raises(ValidationError, match="n_det_ter must fit a float"):
+        _sweep_cfg("delta", [0.01], n_det_ter=largest + 1)
+    assert _sweep_cfg("delta", [0.01], n_det_ter=largest).params.n_det_ter == largest
 
 
 def test_a_sweep_with_an_unknown_field_is_a_parse_error(tmp_path, capsys):

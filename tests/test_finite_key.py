@@ -204,6 +204,21 @@ def test_round_counts_take_numpy_integers(name, kind):
         assert type(count) is int
 
 
+@pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+def test_round_counts_refuse_what_a_float_cannot_hold(name):
+    # 10**400 rounds raised a bare OverflowError in the float arithmetic.
+    with pytest.raises(DomainError, match="must fit a float"):
+        _COUNT_CALLS[name](10**400)
+
+
+def test_round_counts_take_the_largest_integer_a_float_holds():
+    # float() rounds 2**1024 - 2**970 past the float range, one less into it.
+    largest = 2**1024 - 2**970 - 1
+    assert azuma_tail(largest, 0.1).n == largest
+    with pytest.raises(DomainError, match="must fit a float"):
+        azuma_tail(largest + 1, 0.1)
+
+
 # -- key length --------------------------------------------------------------
 
 

@@ -25,6 +25,7 @@ from qkd_sift.adversary import (
     make_strategy,
 )
 from qkd_sift.errors import DomainError, EnumerationTooLarge, MaxRoundsExceeded, TraceInconsistent
+from qkd_sift.finite_key import azuma_tail
 from qkd_sift.protocol import (
     Basis,
     CountDetected,
@@ -196,6 +197,15 @@ def test_coverage_report_counts_exactly():
     assert rep.eta_claimed == pytest.approx(math.exp(-10 * 0.01 / 2.0), rel=1e-12)
     with pytest.raises(DomainError):
         coverage_report(stats, -0.1)
+
+
+@pytest.mark.parametrize("n", [1, 16, 2000, 10**5, 10**6])
+@pytest.mark.parametrize("delta", [0.0, 0.01, 0.05, 0.1234, 1e154, 1e300])
+def test_coverage_report_claims_the_azuma_tail_of_finite_key(n, delta):
+    empty = np.zeros(1)
+    stats = TrialStats(n, empty, empty, empty, empty, empty, empty)
+    eta = coverage_report(stats, delta).eta_claimed
+    assert eta == azuma_tail(n, delta).eta_single == math.exp(-n * delta * delta / 2.0)
 
 
 def test_coverage_trials_counters_are_consistent():
