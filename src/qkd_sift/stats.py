@@ -404,7 +404,7 @@ def enumerate_bias(
     sums = [np.bincount(comp, w) for w in weights]
     del x, z, weights
     keys = np.flatnonzero(sums[0]).tolist()
-    tally = {key: [int(column[key]) for column in sums] for key in keys}  # exact with the masses
+    tally = {key: [int(column[key]) for column in sums] for key in keys}  # exact big-int sums
     del sums
     if not tally:
         raise DomainError("no sequence terminates within max_rounds")
