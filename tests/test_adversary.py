@@ -206,6 +206,65 @@ def test_adaptive_tracker_matches_the_prefix_rescan(window, gain):
     assert (attacked > 0) == (gain > 0.0)
 
 
+def _behavior_walk(strategy, hits, basis_b, seed):
+    """The op index that ``behavior`` returns in each emitted round, called
+    round by round on the growing prefix, and its stream's final state."""
+    prefix = Transcript(PARAMS)
+    stream = random.Random(seed)
+    index = {id(op): i for i, op in enumerate(strategy.ops)}
+    bases = iter(basis_b.tolist())
+    picked = []
+    for hit in hits:
+        picked.append(index[id(strategy.behavior(prefix, stream))])
+        b = next(bases) if hit else Basis.X.value
+        prefix.detected.append(int(hit))
+        prefix.basis_b.append(b)
+        prefix.basis_a.append(b if hit else 0)
+        if hit:
+            prefix.detected_basis_b.append(b)
+    return picked, stream.getstate()
+
+
+_SCHEDULED = [
+    IdentityLossy(0.3),
+    Depolarizing(0.15, p_loss=0.9),
+    InterceptResend("always_z"),
+    InterceptResend("always_x"),
+    InterceptResend("random", q=0.3),
+] + [
+    AdaptiveBasisTracker(window=window, bias_gain=gain)
+    for window in (1, 16, 10**6)
+    for gain in (0.0, 0.5, 1e9)
+]
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["every-round-detected", "lossy"])
+@pytest.mark.parametrize("cfg", _SCHEDULED, ids=repr)
+def test_schedule_picks_the_ops_and_draws_of_behavior(cfg, lossy):
+    strategy = make_strategy(cfg)
+    gen = random.Random(repr((cfg, lossy)))
+    for case in range(12):
+        n = gen.choice((1, 2, 15, 16, 17, gen.randrange(1, 200)))
+        p_z = gen.choice((0.0, 0.1, 0.5, 0.9, 1.0, gen.random()))
+        basis_b = np.array([gen.random() >= p_z for _ in range(n)], dtype=np.uint8)
+        if lossy:  # the last emitted round is the n-th detection
+            hits = []
+            while sum(hits) < n:
+                hits.append(gen.random() < 0.4)
+            hits = np.array(hits)
+        else:
+            hits = np.ones(n, dtype=bool)
+        want, want_state = _behavior_walk(strategy, hits, basis_b, case)
+        twin = random.Random(case)
+        got = strategy.schedule(
+            hits if lossy else None,
+            basis_b,
+            lambda k: np.array([twin.random() for _ in range(k)]),
+        )
+        assert got.tolist() == want, (n, p_z)
+        assert twin.getstate() == want_state, (n, p_z)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         IdentityLossy(p_loss=-0.1)
