@@ -48,19 +48,16 @@ that the draws that decide a round do not depend on the op.  Otherwise, as
 for every ``EveStrategy(label, behavior)``, sessions run the round loop.
 
 The adaptive tracker's window moves only at detections, so its schedule
-finds the window's state once per number of detections so far: the Z count
-of the window by subtracting two slices of the running Z count.  Its laws
-(the attack probability, whether a round draws, the op of an attack) come
-from ``behavior``'s own float operations, on each state of the first
-``window`` detections, where the window is still filling, and then from a
-table of the ``window + 1`` states of a full window, built the first time a
-session of more than ``window`` detections asks for it.  So nothing the
-schedule builds outgrows the session, however large the window.
+finds the window's state once per number k of detections so far: the window
+starts at ``max(k - window, 0)``, and its Z count is the difference of two
+entries of the running Z count.  Its laws (the attack probability, whether a
+round draws, the op of an attack) come from ``behavior``'s own float
+operations on those states.  So every array the schedule builds grows with
+the session, never with the window.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Literal, Union
@@ -275,36 +272,22 @@ def make_strategy(cfg: StrategyConfig) -> EveStrategy:
                 return identity
             return dephase[Basis.Z if f_z > 0.5 else Basis.X]
 
-        def attack_laws(z: np.ndarray, seen) -> tuple[np.ndarray, np.ndarray]:
-            # Per window state, with the float operations of ``behavior``:
-            # the attack probability capped at 1, which draws where it is
-            # above 0, and the op of an attack (1 dephase in Z, 2 in X).
-            f_z = z / seen
-            p_attack = gain * np.abs(2.0 * f_z - 1.0)
-            return np.minimum(p_attack, 1.0), np.where(f_z > 0.5, 1, 2)
-
-        @functools.cache
-        def full_window() -> tuple[np.ndarray, np.ndarray]:
-            # A full window's state is its Z count alone, so past the first
-            # ``window`` detections the laws are looked up in this table of
-            # ``window + 1`` rows, built when a session first gets there.
-            return attack_laws(np.arange(window + 1), window)
-
         def schedule(detected: np.ndarray | None, basis_b: np.ndarray, draws) -> np.ndarray:
             # The window moves only at detections, so its state is found once
             # per k = number of detections so far, k < n as the n-th detection
-            # ends the session, and then read off per emitted round.
+            # ends the session, and then read off per emitted round.  Its laws
+            # come from the float operations of ``behavior``: the attack
+            # probability capped at 1, and the op of an attack.
             n = len(basis_b)
             z_count = np.zeros(n + 1, dtype=np.intp)
             np.add.accumulate(basis_b == z_value, out=z_count[1:])
-            head = min(n, window)  # the states whose window is still filling
+            k = np.arange(1, n)
+            start = np.maximum(k - window, 0)
+            f_z = (z_count[1:n] - z_count[start]) / (k - start)
             cut = np.zeros(n)  # no draw at k = 0, an empty window
             side = np.zeros(n, dtype=np.intp)
-            cut[1:head], side[1:head] = attack_laws(z_count[1:head], np.arange(1, head))
-            if n > window:
-                full_cut, full_side = full_window()
-                z = z_count[window:n] - z_count[: n - window]
-                cut[window:], side[window:] = full_cut[z], full_side[z]
+            cut[1:] = np.minimum(gain * np.abs(2.0 * f_z - 1.0), 1.0)
+            side[1:] = np.where(f_z > 0.5, 1, 2)
             if detected is not None:
                 before = np.cumsum(detected) - detected
                 cut, side = cut[before], side[before]
