@@ -234,6 +234,13 @@ class Transcript:
                 raise ValidationError(
                     f"round records must be numbered 1, 2, ...; got {rec.index} at {position}"
                 )
+            if not isinstance(rec.basis_b, Basis) or (
+                not isinstance(rec.basis_a, Basis) if rec.detected else rec.basis_a is not None
+            ):
+                raise ValidationError(
+                    f"round {position}: bases must be Basis members, with basis_a"
+                    f" exactly when detected; got {rec!r}"
+                )
             self.detected.append(1 if rec.detected else 0)
             self.basis_b.append(rec.basis_b.value)
             if rec.detected:

@@ -286,6 +286,17 @@ def test_transcript_view_round_trips_its_records():
     # The index is the position, so records must come numbered from 1.
     with pytest.raises(ValidationError):
         Transcript(_params(n=12), rounds=recs[1:])
+    # Alice's basis is announced exactly on detected rounds, and bases are Basis
+    # members: a record that breaks this would not come back from the view.
+    for bad in (
+        RoundRecord(1, True, Basis.Z, None),
+        RoundRecord(1, True, "Z", Basis.Z),
+        RoundRecord(1, True, Basis.Z, 0),
+        RoundRecord(1, False, Basis.X, Basis.Z),
+        RoundRecord(1, False, None, None),
+    ):
+        with pytest.raises(ValidationError, match="round 1"):
+            Transcript(_params(n=12), rounds=[bad])
 
 
 def test_session_columns_agree_with_their_records():
