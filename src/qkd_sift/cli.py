@@ -711,10 +711,7 @@ def run_bias_demo(out: str | None) -> int:
                 },
             },
         }
-        try:
-            Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            raise IoError(f"cannot write report {out!r}: {exc}") from exc
+        emit_report(payload, [], [], "json", out)
     return 0
 
 

@@ -821,6 +821,20 @@ def test_bias_demo_subcommand(tmp_path, capsys):
     assert doc["results"]["count_per_basis"]["dependence_detected"] is True
 
 
+def test_bias_demo_out_dash_prints_the_report_after_the_table(tmp_path, capsys, monkeypatch):
+    # "-" means stdout, as for `run --out -`; it names no file.
+    monkeypatch.chdir(tmp_path)
+    assert main(["bias-demo", "--out", str(tmp_path / "demo.json")]) == 0
+    written = (tmp_path / "demo.json").read_text()
+    capsys.readouterr()
+    assert main(["bias-demo", "--out", "-"]) == 0
+    printed = capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.json"]
+    table, report = printed.split("per-basis quotas do not.\n")
+    assert "CountPerBasis(1,1)" in table
+    assert report == written
+
+
 def test_installed_entry_point_runs(tmp_path):
     cfg_path = _write(tmp_path, dict(MINIMAL, trials=1))
     out = str(tmp_path / "cli.json")
