@@ -439,7 +439,7 @@ def _actual_law(povm: BobPOVM, op: ChannelOp) -> _ActualLaw:
     outcome_cum = []
     for bit in (0, 1):
         for basis in (Basis.Z, Basis.X):
-            p_del, rho_del, _ = qubit_channel_branches(source_state(bit, basis), op)
+            p_del, rho_del = qubit_channel_branches(source_state(bit, basis), op)
             p_deliver.append(p_del)
             if rho_del is None:
                 outcome_cum += [(0.0, 0.0)] * 2
@@ -457,17 +457,13 @@ def _actual_law(povm: BobPOVM, op: ChannelOp) -> _ActualLaw:
 
 @functools.lru_cache(maxsize=512)
 def _virtual_law(povm: BobPOVM, op: ChannelOp) -> _VirtualLaw:
-    split = channel_branches(bell_pair(), op)
-    p_deliver = split.p_first
-    if split.rho_first is None:
+    p_deliver, rho_delivered = channel_branches(bell_pair(), op)
+    if rho_delivered is None:
         return _VirtualLaw(p_deliver, 0.0, None, 0.0, (0.0,) * 3, (0.0,) * 3)
-    rho_delivered = split.rho_first
     rho_delivered.validate()
-    fsplit = filter_branches(rho_delivered, povm)
-    p_detect = fsplit.p_first
-    if fsplit.rho_first is None:
+    p_detect, rho_detected = filter_branches(rho_delivered, povm)
+    if rho_detected is None:
         return _VirtualLaw(p_deliver, p_detect, None, 0.0, (0.0,) * 3, (0.0,) * 3)
-    rho_detected = fsplit.rho_first
     rho_detected.validate()
     t = prob_phase_error(rho_detected, povm)
     zz = pair_outcome_probs(rho_detected, Basis.Z, Basis.Z, povm)

@@ -14,6 +14,11 @@ quantities that vanish analytically — e.g. the phase-error weight of a clean
 pair state — vanish *exactly* in floating point as well.  The statistics
 layer depends on that exactness.
 
+A round that the channel loses or the detector misses is announced as
+undetected and never measured, so the branch functions compute only the
+branch a round law reads: the delivered state, then the detected one, each as
+``(probability, normalized state or None)``.
+
 The module keeps no caches.  Each derived operator (the Kraus operators
 lifted to the pair, the detection filter, Bob's conditional elements and the
 phase-error effect) is built inside the one function that reads it; both PSD
@@ -27,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, NamedTuple, TypeVar
+from typing import Callable, ClassVar, TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -71,10 +76,6 @@ PROJECTOR = {
     (0, Basis.X): np.array([[0.5, 0.5], [0.5, 0.5]], dtype=np.complex128),
     (1, Basis.X): np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=np.complex128),
 }
-
-#: Placeholder for Bob's system after a channel loss.  It is never measured;
-#: it only keeps the pair state a well-formed 4x4 matrix.
-JUNK_B = PROJECTOR[(0, Basis.Z)]
 
 
 def _freeze(m: np.ndarray) -> Matrix:
@@ -322,33 +323,15 @@ def bell_pair() -> Density4:
     return _BELL_PAIR
 
 
-class BranchSplit(NamedTuple):
-    """Deterministic decomposition of a two-branch stochastic map."""
+def channel_branches(rho: Density4, ch: ChannelOp) -> tuple[float, Density4 | None]:
+    """(p_deliver, normalized delivered state) of ``rho`` through the channel.
 
-    p_first: float
-    rho_first: Density4 | None
-    p_second: float
-    rho_second: Density4 | None
-
-
-def channel_branches(rho: Density4, ch: ChannelOp) -> BranchSplit:
-    """Split ``rho`` into the channel's deliver and lose branches.
-
-    Returns unconditional branch probabilities and the *normalized* branch
-    states.  The lost branch replaces Bob's system with :data:`JUNK_B` (the
-    retained A side is the renormalized partial trace); a branch of
-    probability below :data:`BRANCH_EPS` gets state ``None``.
+    A lost round is announced as undetected and never measured, so only the
+    deliver branch is computed; a state of probability below
+    :data:`BRANCH_EPS` is ``None``.
     """
-    m = rho.mat
-    p_del, raw_del = _branch_apply(m, tuple(np.kron(_I2, k) for k in ch.deliver_kraus))
-    p_lose, raw_lose = _branch_apply(m, tuple(np.kron(_I2, k) for k in ch.lose_kraus))
-    out_del = _branch_state(Density4._wrap, raw_del, p_del)
-    return BranchSplit(p_del, out_del, p_lose, _branch_state(_junk_b, raw_lose, p_lose))
-
-
-def _junk_b(m: Matrix) -> Density4:
-    """The pair state with A's side of ``m`` and Bob's system replaced by JUNK_B."""
-    return Density4._wrap(np.kron(np.einsum("ibjb->ij", m.reshape(2, 2, 2, 2)), JUNK_B))
+    p, raw = _branch_apply(rho.mat, tuple(np.kron(_I2, k) for k in ch.deliver_kraus))
+    return p, _branch_state(Density4._wrap, raw, p)
 
 
 def _branch_state(wrap: Callable[[Matrix], _D], raw: Matrix, p: float) -> _D | None:
@@ -365,13 +348,12 @@ def _branch_apply(m: Matrix, kraus: tuple[Matrix, ...]) -> tuple[float, Matrix]:
     return float(acc.trace().real), acc
 
 
-def filter_branches(rho: Density4, povm: BobPOVM) -> BranchSplit:
-    """Detection filter {sqrt(I - m_fail), sqrt(m_fail)} applied on side B."""
-    split = []
-    for element in (_I2 - povm.m_fail, povm.m_fail):
-        p, raw = _branch_apply(rho.mat, (np.kron(_I2, _psd_function(element, _sqrt)),))
-        split += [p, _branch_state(Density4._wrap, raw, p)]
-    return BranchSplit(*split)
+def filter_branches(rho: Density4, povm: BobPOVM) -> tuple[float, Density4 | None]:
+    """(p_detect, normalized detected state) under the detection filter
+    sqrt(I - m_fail) on side B; a failed round is never measured either."""
+    root = np.kron(_I2, _psd_function(_I2 - povm.m_fail, _sqrt))
+    p, raw = _branch_apply(rho.mat, (root,))
+    return p, _branch_state(Density4._wrap, raw, p)
 
 
 def pair_outcome_probs(
@@ -414,20 +396,10 @@ def prob_phase_error(rho: Density4, povm: BobPOVM) -> float:
 # simulated protocol sends a 2x2 source state through the same ChannelOp.
 
 
-def qubit_channel_branches(
-    rho: Density2, ch: ChannelOp
-) -> tuple[float, Density2 | None, float]:
-    """(p_deliver, normalized delivered state, p_lose) for a qubit input.
-
-    The lost branch's state is irrelevant on this path — Bob never measures a
-    lost round — so only its probability is reported.
-    """
-    m = rho.mat
-    p_del, raw = _branch_apply(m, ch.deliver_kraus)
-    p_lose = 0.0
-    for k in ch.lose_kraus:
-        p_lose += _tr_product(k.conj().T @ k, m)
-    return p_del, _branch_state(Density2._wrap, raw, p_del), p_lose
+def qubit_channel_branches(rho: Density2, ch: ChannelOp) -> tuple[float, Density2 | None]:
+    """(p_deliver, normalized delivered state) for a qubit input."""
+    p, raw = _branch_apply(rho.mat, ch.deliver_kraus)
+    return p, _branch_state(Density2._wrap, raw, p)
 
 
 def qubit_outcome_probs(

@@ -100,6 +100,16 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def b_side_mass(rho: np.ndarray, effect: np.ndarray) -> float:
+    """Tr((I ⊗ effect) rho): the probability of a pair state's B-side effect."""
+    return float(np.trace(np.kron(np.eye(2), effect) @ rho).real)
+
+
+def lost_mass(rho: np.ndarray, lose_kraus) -> float:
+    """The probability that a channel with these lose Kraus operators loses B."""
+    return sum(b_side_mass(rho, k.conj().T @ k) for k in lose_kraus)
+
+
 def _proj(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 

@@ -52,11 +52,11 @@ def _prefix(bases_b, detected=None):
 
 def test_identity_lossy_channel_splits_mass_by_p_loss():
     op = identity_lossy_channel(0.3)
-    split = channel_branches(bell_pair(), op)
-    assert split.p_first == pytest.approx(0.7, abs=1e-12)
-    assert split.p_second == pytest.approx(0.3, abs=1e-12)
+    p, rho = channel_branches(bell_pair(), op)
+    assert p == pytest.approx(0.7, abs=1e-12)
+    assert oracles.lost_mass(bell_pair().mat, op.lose_kraus) == pytest.approx(0.3, abs=1e-12)
     # the delivered state is untouched
-    assert np.allclose(split.rho_first.mat, bell_pair().mat, atol=1e-12)
+    assert np.allclose(rho.mat, bell_pair().mat, atol=1e-12)
 
 
 def test_identity_lossy_extremes_are_single_branch():
@@ -66,33 +66,33 @@ def test_identity_lossy_extremes_are_single_branch():
 
 def test_depolarizing_channel_phase_error_is_half_p():
     for p in (0.0, 0.1, 0.3, 1.0):
-        split = channel_branches(bell_pair(), depolarizing_channel(p))
-        assert prob_phase_error(split.rho_first, ideal_povm()) == pytest.approx(
+        _, rho = channel_branches(bell_pair(), depolarizing_channel(p))
+        assert prob_phase_error(rho, ideal_povm()) == pytest.approx(
             p / 2.0, abs=1e-12
         )
 
 
 def test_depolarizing_with_loss_composes():
     op = depolarizing_channel(0.2, p_loss=0.25)
-    split = channel_branches(bell_pair(), op)
-    assert split.p_first == pytest.approx(0.75, abs=1e-12)
+    p, rho = channel_branches(bell_pair(), op)
+    assert p == pytest.approx(0.75, abs=1e-12)
     expect = 0.8 * bell_pair().mat + 0.2 * np.eye(4) / 4.0
-    assert np.allclose(split.rho_first.mat, expect, atol=1e-12)
+    assert np.allclose(rho.mat, expect, atol=1e-12)
 
 
 def test_dephasing_z_kills_coherences():
-    split = channel_branches(bell_pair(), dephasing_channel(Basis.Z))
+    _, rho = channel_branches(bell_pair(), dephasing_channel(Basis.Z))
     expect = np.diag([0.5, 0.0, 0.0, 0.5])
-    assert np.allclose(split.rho_first.mat, expect, atol=1e-15)
-    assert prob_phase_error(split.rho_first, ideal_povm()) == pytest.approx(
+    assert np.allclose(rho.mat, expect, atol=1e-15)
+    assert prob_phase_error(rho, ideal_povm()) == pytest.approx(
         0.5, abs=1e-12
     )
 
 
 def test_dephasing_x_leaves_bell_pair_alone():
     # phi+ is a fixed point of X-basis dephasing on one side
-    split = channel_branches(bell_pair(), dephasing_channel(Basis.X))
-    assert prob_phase_error(split.rho_first, ideal_povm()) == pytest.approx(
+    _, rho = channel_branches(bell_pair(), dephasing_channel(Basis.X))
+    assert prob_phase_error(rho, ideal_povm()) == pytest.approx(
         0.0, abs=1e-12
     )
 

@@ -543,7 +543,7 @@ def test_estimation_counts_agree_with_per_round_records():
 def test_estimation_x_readouts_match_born_probabilities():
     """The engine's inline X readout at 1e5 rounds, 4-sigma binomial tolerance."""
     op = depolarizing_channel(0.3)
-    rho = channel_branches(bell_pair(), op).rho_first
+    _, rho = channel_branches(bell_pair(), op)
     probs = pair_outcome_probs(rho, Basis.X, Basis.X, ideal_povm())
     n = 100_000
     strat = EveStrategy("depolarizing", lambda prefix, rng: op)

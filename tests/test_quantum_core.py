@@ -131,7 +131,7 @@ def _with_entry(m, row, col, value):
 @pytest.mark.parametrize("value", _NON_FINITE)
 @pytest.mark.parametrize("row, col", [(0, 0), (0, 1), (1, 1)])
 def test_channel_op_rejects_non_finite_kraus(value, row, col):
-    # An all-NaN op used to construct, and channel_branches then gave p_first nan.
+    # An all-NaN op used to construct, and channel_branches then gave p nan.
     with pytest.raises(DomainError):
         _op([np.full((2, 2), value)])
     with pytest.raises(DomainError):
@@ -165,42 +165,36 @@ def test_channel_op_rejects_empty():
 
 
 def test_identity_channel_is_exact_noop():
-    split = channel_branches(bell_pair(), IDENTITY)
-    assert split.p_first == 1.0
-    assert np.array_equal(split.rho_first.mat, bell_pair().mat)
-    assert split.p_second == 0.0
-    assert split.rho_second is None
+    p, rho = channel_branches(bell_pair(), IDENTITY)
+    assert p == 1.0
+    assert np.array_equal(rho.mat, bell_pair().mat)
+    assert oracles.lost_mass(bell_pair().mat, IDENTITY.lose_kraus) == 0.0
 
 
 def test_all_lose_channel_never_delivers():
     lossy = _op([], [I2])
-    split = channel_branches(bell_pair(), lossy)
-    assert split.p_first == 0.0
-    assert split.rho_first is None
-    assert split.p_second == pytest.approx(1.0, abs=1e-12)
-    # A side survives, B side is the parked junk state
-    assert np.allclose(_reduced(split.rho_second, "a"), I2 / 2, atol=1e-12)
+    assert channel_branches(bell_pair(), lossy) == (0.0, None)
+    assert oracles.lost_mass(bell_pair().mat, lossy.lose_kraus) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_depolarizing_deliver_branch_is_convex_mix():
     from qkd_sift.adversary import depolarizing_channel
 
-    split = channel_branches(bell_pair(), depolarizing_channel(0.2))
-    assert split.p_first == pytest.approx(1.0, abs=1e-12)
+    p, rho = channel_branches(bell_pair(), depolarizing_channel(0.2))
+    assert p == pytest.approx(1.0, abs=1e-12)
     expect = 0.8 * bell_pair().mat + 0.2 * np.eye(4) / 4.0
-    assert np.allclose(split.rho_first.mat, expect, atol=1e-12)
+    assert np.allclose(rho.mat, expect, atol=1e-12)
 
 
 @settings(max_examples=50)
 @given(st.integers(0, 2**32 - 1))
 def test_random_channel_branches_partition_unit_mass(seed):
     op = _random_kraus_pair(np.random.default_rng(seed))
-    split = channel_branches(bell_pair(), op)
-    assert split.p_first + split.p_second == pytest.approx(1.0, abs=1e-10)
-    for p, rho in ((split.p_first, split.rho_first), (split.p_second, split.rho_second)):
-        if rho is not None:
-            rho.validate()
-            assert abs(rho.trace - 1.0) < 1e-8
+    p, rho = channel_branches(bell_pair(), op)
+    assert p + oracles.lost_mass(bell_pair().mat, op.lose_kraus) == pytest.approx(1.0, abs=1e-10)
+    if rho is not None:
+        rho.validate()
+        assert abs(rho.trace - 1.0) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -244,32 +238,31 @@ def test_ops_and_povms_compare_by_value():
 
 
 def test_filter_with_no_failure_is_identity():
-    split = filter_branches(bell_pair(), ideal_povm())
-    assert split.p_first == 1.0
-    assert np.array_equal(split.rho_first.mat, bell_pair().mat)
-    assert split.rho_second is None
+    p, rho = filter_branches(bell_pair(), ideal_povm())
+    assert p == 1.0
+    assert np.array_equal(rho.mat, bell_pair().mat)
 
 
 def test_filter_half_efficiency_leaves_state_invariant():
     # m_fail = I/2: sqrt(I/2) is proportional to I, so the conditional state
     # is untouched while detection probability halves
     povm = detection_povm(0.5)
-    split = filter_branches(bell_pair(), povm)
-    assert split.p_first == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(split.rho_first.mat, bell_pair().mat, atol=1e-12)
-    assert split.p_second == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(split.rho_second.mat, bell_pair().mat, atol=1e-12)
+    p, rho = filter_branches(bell_pair(), povm)
+    assert p == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(rho.mat, bell_pair().mat, atol=1e-12)
+    assert oracles.b_side_mass(bell_pair().mat, povm.m_fail) == pytest.approx(0.5, abs=1e-12)
 
 
 @settings(max_examples=30)
 @given(st.integers(0, 2**32 - 1), st.floats(0.05, 1.0))
 def test_filter_branch_probabilities_sum_to_one(seed, eta):
     op = _random_kraus_pair(np.random.default_rng(seed))
-    split = channel_branches(bell_pair(), op)
-    if split.rho_first is None:
+    _, rho = channel_branches(bell_pair(), op)
+    if rho is None:
         return
-    fsplit = filter_branches(split.rho_first, detection_povm(eta))
-    assert fsplit.p_first + fsplit.p_second == pytest.approx(1.0, abs=1e-10)
+    povm = detection_povm(eta)
+    p, _ = filter_branches(rho, povm)
+    assert p + oracles.b_side_mass(rho.mat, povm.m_fail) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +281,7 @@ def test_pair_outcome_probs_match_born_rule_oracle():
     op = _op(
         [np.sqrt(0.8) * I2, np.sqrt(0.05) * PAULI_Z, np.sqrt(0.15) * np.diag([1, 1j])]
     )
-    split = channel_branches(bell_pair(), op)
-    rho = split.rho_first
+    _, rho = channel_branches(bell_pair(), op)
     for ba_name, ba in (("Z", Basis.Z), ("X", Basis.X)):
         for bb_name, bb in (("Z", Basis.Z), ("X", Basis.X)):
             probs = pair_outcome_probs(rho, ba, bb, ideal_povm())
@@ -326,8 +318,8 @@ def test_phase_error_of_phi_minus_is_one():
 def test_phase_error_of_depolarized_pair():
     from qkd_sift.adversary import depolarizing_channel
 
-    split = channel_branches(bell_pair(), depolarizing_channel(0.2))
-    assert prob_phase_error(split.rho_first, ideal_povm()) == pytest.approx(
+    _, rho = channel_branches(bell_pair(), depolarizing_channel(0.2))
+    assert prob_phase_error(rho, ideal_povm()) == pytest.approx(
         0.1, abs=1e-12
     )
 
@@ -409,7 +401,7 @@ _SKEWED_OPS = {
 
 
 def _delivered(name):
-    return channel_branches(bell_pair(), _SKEWED_OPS[name]).rho_first.mat
+    return channel_branches(bell_pair(), _SKEWED_OPS[name])[1].mat
 
 
 def test_skewed_failure_element_is_not_diagonal():
@@ -421,35 +413,32 @@ def test_skewed_failure_element_is_not_diagonal():
 def test_filter_with_skewed_failure_matches_longhand(name):
     rho = _delivered(name)
     kd = np.kron(I2, _S)
-    kf = np.kron(I2, (_U * np.sqrt(_FAIL_EIGS)) @ _U.conj().T)
-    det, fail = kd @ rho @ kd.conj().T, kf @ rho @ kf.conj().T
-    split = filter_branches(Density4.from_matrix(rho), _SKEWED)
+    det = kd @ rho @ kd.conj().T
+    p, detected = filter_branches(Density4.from_matrix(rho), _SKEWED)
     # Pr[detect] = Tr((I - m_fail) rho) on B, whatever the basis.
-    p_det = float(np.trace(np.kron(I2, I2 - _SKEWED.m_fail) @ rho).real)
-    assert split.p_first == pytest.approx(p_det, abs=1e-12)
-    assert split.p_second == pytest.approx(np.trace(fail).real, abs=1e-12)
-    assert np.allclose(split.rho_first.mat, det / p_det, atol=1e-12)
-    assert np.allclose(split.rho_second.mat, fail / np.trace(fail).real, atol=1e-12)
+    p_det = oracles.b_side_mass(rho, I2 - _SKEWED.m_fail)
+    assert p == pytest.approx(p_det, abs=1e-12)
+    assert np.allclose(detected.mat, det / p_det, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", _SKEWED_OPS)
 def test_readout_with_skewed_failure_matches_longhand(name):
     """On the detected pair, Bob's readout is Tr((P_a ⊗ M_b) rho) / Pr[detect]."""
     rho = _delivered(name)
-    split = filter_branches(Density4.from_matrix(rho), _SKEWED)
+    p_det, detected = filter_branches(Density4.from_matrix(rho), _SKEWED)
     for ba in Basis:
         for bb in Basis:
-            probs = pair_outcome_probs(split.rho_first, ba, bb, _SKEWED)
+            probs = pair_outcome_probs(detected, ba, bb, _SKEWED)
             for a in (0, 1):
                 for b in (0, 1):
                     effect = np.kron(_alice(ba, a), _bob(bb, b))
-                    expect = np.trace(effect @ rho).real / split.p_first
+                    expect = np.trace(effect @ rho).real / p_det
                     assert probs[a, b] == pytest.approx(expect, abs=1e-12)
     anti = np.kron(_alice(Basis.X, 0), _bob(Basis.X, 1)) + np.kron(
         _alice(Basis.X, 1), _bob(Basis.X, 0)
     )
-    expect = np.trace(anti @ rho).real / split.p_first
-    assert prob_phase_error(split.rho_first, _SKEWED) == pytest.approx(expect, abs=1e-12)
+    expect = np.trace(anti @ rho).real / p_det
+    assert prob_phase_error(detected, _SKEWED) == pytest.approx(expect, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", _SKEWED_OPS)
@@ -458,7 +447,7 @@ def test_virtual_law_with_skewed_failure_matches_longhand(name):
     rho = _delivered(name)
     law = _virtual_law(_SKEWED, op)
     p_det = float(np.trace(np.kron(I2, I2 - _SKEWED.m_fail) @ rho).real)
-    assert law.p_deliver == pytest.approx(channel_branches(bell_pair(), op).p_first, abs=1e-12)
+    assert law.p_deliver == pytest.approx(channel_branches(bell_pair(), op)[0], abs=1e-12)
     assert law.p_detect == pytest.approx(p_det, abs=1e-12)
     for basis, cum in ((Basis.Z, law.zz_cum), (Basis.X, law.xx_cum)):
         joint = [
