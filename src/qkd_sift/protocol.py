@@ -736,14 +736,7 @@ def _session(
 
     for is_z, cum in kept:  # the virtual picture's deferred readout
         u = rand()
-        if u < cum[0]:
-            a_bit, b_bit = 0, 0
-        elif u < cum[1]:
-            a_bit, b_bit = 0, 1
-        elif u < cum[2]:
-            a_bit, b_bit = 1, 0
-        else:
-            a_bit, b_bit = 1, 1
+        a_bit, b_bit = divmod(0 if u < cum[0] else 1 if u < cum[1] else 2 if u < cum[2] else 3, 2)
         if is_z:
             az.append(a_bit)
             bz.append(b_bit)
