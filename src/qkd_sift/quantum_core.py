@@ -327,33 +327,30 @@ def channel_branches(rho: Density4, ch: ChannelOp) -> tuple[float, Density4 | No
     """(p_deliver, normalized delivered state) of ``rho`` through the channel.
 
     A lost round is announced as undetected and never measured, so only the
-    deliver branch is computed; a state of probability below
-    :data:`BRANCH_EPS` is ``None``.
+    deliver branch is computed.
     """
-    p, raw = _branch_apply(rho.mat, tuple(np.kron(_I2, k) for k in ch.deliver_kraus))
-    return p, _branch_state(Density4._wrap, raw, p)
+    return _branch(Density4._wrap, rho.mat, tuple(np.kron(_I2, k) for k in ch.deliver_kraus))
 
 
-def _branch_state(wrap: Callable[[Matrix], _D], raw: Matrix, p: float) -> _D | None:
-    """``wrap(raw / p)``, or None when ``p`` is below :data:`BRANCH_EPS`."""
-    return wrap(raw / p) if p >= BRANCH_EPS else None
-
-
-def _branch_apply(m: Matrix, kraus: tuple[Matrix, ...]) -> tuple[float, Matrix]:
+def _branch(
+    wrap: Callable[[Matrix], _D], m: Matrix, kraus: tuple[Matrix, ...]
+) -> tuple[float, _D | None]:
+    """(p, ``wrap`` of the normalized state) of the branch sum_k K m K^dag;
+    the state is None when ``p`` is below :data:`BRANCH_EPS`."""
     if not kraus:
-        return 0.0, np.zeros_like(m)
+        return 0.0, None
     acc = kraus[0] @ m @ kraus[0].conj().T
     for k in kraus[1:]:
         acc += k @ m @ k.conj().T
-    return float(acc.trace().real), acc
+    p = float(acc.trace().real)
+    return p, wrap(acc / p) if p >= BRANCH_EPS else None
 
 
 def filter_branches(rho: Density4, povm: BobPOVM) -> tuple[float, Density4 | None]:
     """(p_detect, normalized detected state) under the detection filter
     sqrt(I - m_fail) on side B; a failed round is never measured either."""
     root = np.kron(_I2, _psd_function(_I2 - povm.m_fail, _sqrt))
-    p, raw = _branch_apply(rho.mat, (root,))
-    return p, _branch_state(Density4._wrap, raw, p)
+    return _branch(Density4._wrap, rho.mat, (root,))
 
 
 def pair_outcome_probs(
@@ -398,8 +395,7 @@ def prob_phase_error(rho: Density4, povm: BobPOVM) -> float:
 
 def qubit_channel_branches(rho: Density2, ch: ChannelOp) -> tuple[float, Density2 | None]:
     """(p_deliver, normalized delivered state) for a qubit input."""
-    p, raw = _branch_apply(rho.mat, ch.deliver_kraus)
-    return p, _branch_state(Density2._wrap, raw, p)
+    return _branch(Density2._wrap, rho.mat, ch.deliver_kraus)
 
 
 def qubit_outcome_probs(
