@@ -234,9 +234,8 @@ class Transcript:
                 raise ValidationError(
                     f"round records must be numbered 1, 2, ...; got {rec.index} at {position}"
                 )
-            if not isinstance(rec.basis_b, Basis) or (
-                not isinstance(rec.basis_a, Basis) if rec.detected else rec.basis_a is not None
-            ):
+            basis_a_type = Basis if rec.detected else type(None)
+            if not (isinstance(rec.basis_b, Basis) and isinstance(rec.basis_a, basis_a_type)):
                 raise ValidationError(
                     f"round {position}: bases must be Basis members, with basis_a"
                     f" exactly when detected; got {rec!r}"
