@@ -810,29 +810,22 @@ def test_verify_subcommand_passes(capsys):
     assert out.count("PASS") >= 9
 
 
-def test_bias_demo_subcommand(tmp_path, capsys):
+def test_bias_demo_subcommand(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     out_path = str(tmp_path / "demo.json")
     assert main(["bias-demo", "--out", out_path]) == 0
     printed = capsys.readouterr().out
     assert "CountDetected(3)" in printed
     assert "CountPerBasis(1,1)" in printed
-    doc = json.loads((tmp_path / "demo.json").read_text())
+    written = (tmp_path / "demo.json").read_text()
+    doc = json.loads(written)
     assert doc["results"]["count_detected"]["tv_from_uniform"] == 0.0
     assert doc["results"]["count_per_basis"]["dependence_detected"] is True
-
-
-def test_bias_demo_out_dash_prints_the_report_after_the_table(tmp_path, capsys, monkeypatch):
-    # "-" means stdout, as for `run --out -`; it names no file.
-    monkeypatch.chdir(tmp_path)
-    assert main(["bias-demo", "--out", str(tmp_path / "demo.json")]) == 0
-    written = (tmp_path / "demo.json").read_text()
-    capsys.readouterr()
+    # "-" means stdout, as for `run --out -`: the report follows the table,
+    # and no file is made.
     assert main(["bias-demo", "--out", "-"]) == 0
-    printed = capsys.readouterr().out
+    assert capsys.readouterr().out == printed + written
     assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.json"]
-    table, report = printed.split("per-basis quotas do not.\n")
-    assert "CountPerBasis(1,1)" in table
-    assert report == written
 
 
 def test_installed_entry_point_runs(tmp_path):
