@@ -275,15 +275,17 @@ def make_strategy(cfg: StrategyConfig) -> EveStrategy:
         def schedule(detected: np.ndarray | None, basis_b: np.ndarray, draws) -> np.ndarray:
             # The window moves only at detections, so its state is found once
             # per k = number of detections so far, k < n as the n-th detection
-            # ends the session, and then read off per emitted round.  Its laws
-            # come from the float operations of ``behavior``: the attack
-            # probability capped at 1, and the op of an attack.
+            # ends the session, and then read off per emitted round.  After k
+            # detections the window holds the last min(k, window) of them.
+            # Its laws come from the float operations of ``behavior``: the
+            # attack probability capped at 1, and the op of an attack.
             n = len(basis_b)
+            width = min(window, n)  # no wider than the session, so NumPy holds it
             z_count = np.zeros(n + 1, dtype=np.intp)
             np.add.accumulate(basis_b == z_value, out=z_count[1:])
-            k = np.arange(1, n)
-            start = np.maximum(k - window, 0)
-            f_z = (z_count[1:n] - z_count[start]) / (k - start)
+            z = z_count[1:n].copy()  # the window's Z count at k = 1 .. n - 1
+            z[width:] -= z_count[1 : n - width]
+            f_z = z / np.minimum(np.arange(1.0, n), width)
             cut = np.zeros(n)  # no draw at k = 0, an empty window
             side = np.zeros(n, dtype=np.intp)
             cut[1:] = np.minimum(gain * np.abs(2.0 * f_z - 1.0), 1.0)

@@ -233,7 +233,7 @@ _SCHEDULED = [
     InterceptResend("random", q=0.3),
 ] + [
     AdaptiveBasisTracker(window=window, bias_gain=gain)
-    for window in (1, 16, 10**6)
+    for window in (1, 16, 10**6, 2**64)
     for gain in (0.0, 0.5, 1e9)
 ]
 
