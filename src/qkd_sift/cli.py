@@ -91,6 +91,14 @@ class SweepSpec:
                 raise ValidationError(f"sweep values must be finite real numbers, got {v!r}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValidationError("sweep values must be strictly increasing")
+        # The limits of each axis but delta, which finite_key checks.
+        for v in self.values:
+            if self.axis == "n_det_ter" and (v < 1 or v != int(v)):
+                raise ValidationError(f"n_det_ter sweep values must be integers >= 1, got {v!r}")
+            if self.axis == "depolarizing_p" and not 0.0 <= v <= 1.0:
+                raise ValidationError(f"depolarizing_p sweep values must be in [0, 1], got {v!r}")
+            if self.axis == "q_ratio" and v <= 0.0:
+                raise ValidationError(f"q_ratio sweep values must be > 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +139,13 @@ class RunConfig:
             )
         if self.mode == "bias" and self.rule is None:
             raise ValidationError("mode 'bias' requires a termination rule")
-        if self.mode == "keyrate-sweep" and self.sweep is None:
-            raise ValidationError("mode 'keyrate-sweep' requires a sweep spec")
+        if self.mode == "keyrate-sweep":
+            if self.sweep is None:
+                raise ValidationError("mode 'keyrate-sweep' requires a sweep spec")
+            if not isinstance(self.strategy, (IdentityLossy, Depolarizing)):
+                raise ValidationError(
+                    "keyrate-sweep requires an identity_lossy or depolarizing strategy"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +245,15 @@ def load_config(path: str) -> RunConfig:
 # Mode runners
 
 
-def _per_trial(
-    cfg: RunConfig, trial: Callable[..., dict], header: list[str]
-) -> tuple[dict, list[str], list[list]]:
+def _per_trial(cfg: RunConfig, trial: Callable[..., dict]) -> tuple[dict, list[str], list[list]]:
     """A mode of one record per trial: its index, then the fields that
-    ``trial(eve, stream, povm)`` gives; the CSV rows cut them to ``header``."""
+    ``trial(eve, stream, povm)`` gives; the CSV columns are its scalar fields."""
     povm = detection_povm(cfg.eta_det)
     eve = make_strategy(cfg.strategy)
     streams = (derive_stream(cfg.seed, i) for i in range(cfg.trials))
     records = [{"trial": i, **trial(eve, rng, povm)} for i, rng in enumerate(streams)]
+    # Not the transcript and sifted objects that a one-trial session adds.
+    header = [c for c, v in records[0].items() if not isinstance(v, (Transcript, dict))]
     rows = [[r[c] for c in header] for r in records]
     return {"per_trial": records}, header, rows
 
@@ -264,8 +277,7 @@ def _session_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
             rec["sifted"] = sifted_to_json(sifted)
         return rec
 
-    header = ["trial", "n_rounds", "n_detected", "n_z", "n_x", "x_error_weight"]
-    return _per_trial(cfg, one, header)
+    return _per_trial(cfg, one)
 
 
 def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
@@ -283,18 +295,7 @@ def _estimation_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
             "relation_residual": stats.relation_check(run),
         }
 
-    header = [
-        "trial",
-        "n_detected",
-        "n_z",
-        "n_x",
-        "lambda_ph",
-        "lambda_xerr",
-        "sum_p_ph",
-        "sum_p_xerr",
-        "relation_residual",
-    ]
-    return _per_trial(cfg, one, header)
+    return _per_trial(cfg, one)
 
 
 def _coverage_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
@@ -344,17 +345,6 @@ def _bias_mode(cfg: RunConfig) -> tuple[dict, list[str], Iterable[Sequence]]:
     return results, ["sequence", "probability"], report.t_distribution.items()
 
 
-def _sweep_error_rate(strategy: StrategyConfig) -> float:
-    """X-basis error rate the sweep pipeline assumes for the channel."""
-    if isinstance(strategy, Depolarizing):
-        return strategy.p / 2.0
-    if isinstance(strategy, IdentityLossy):
-        return 0.0
-    raise ValidationError(
-        "keyrate-sweep requires an identity_lossy or depolarizing strategy"
-    )
-
-
 def keyrate_rows(cfg: RunConfig) -> list[dict]:
     """Evaluate the key-length pipeline on expected counts over the grid.
 
@@ -363,8 +353,10 @@ def keyrate_rows(cfg: RunConfig) -> list[dict]:
     along the chosen axis.  Grid points whose tail bound exhausts the
     smoothing budget report l = 0.
     """
+    cfg = dataclasses.replace(cfg, mode="keyrate-sweep")  # its rules, whatever cfg's mode
     assert cfg.sweep is not None
-    base_error = _sweep_error_rate(cfg.strategy)
+    # The X-basis error rate the pipeline assumes for the channel.
+    base_error = cfg.strategy.p / 2.0 if isinstance(cfg.strategy, Depolarizing) else 0.0
     axis = cfg.sweep.axis
     rows = []
     for value in cfg.sweep.values:
@@ -375,26 +367,12 @@ def keyrate_rows(cfg: RunConfig) -> list[dict]:
         if axis == "delta":
             delta = float(value)
         elif axis == "n_det_ter":
-            if value != int(value):
-                raise ValidationError(
-                    f"n_det_ter sweep values must be integers, got {value!r}"
-                )
             n = int(value)
         elif axis == "depolarizing_p":
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"depolarizing_p sweep values must be in [0, 1], got {value!r}"
-                )
             err = float(value) / 2.0
         else:  # q_ratio = q_z / q_x, realized by symmetric basis probabilities
-            if value <= 0.0:
-                raise ValidationError(
-                    f"q_ratio sweep values must be > 0, got {value!r}"
-                )
             s = math.sqrt(value) / (1.0 + math.sqrt(value))
             q_z, q_x = s * s, (1.0 - s) * (1.0 - s)
-        if n < 1:
-            raise ValidationError(f"swept n_det_ter must be >= 1, got {n}")
 
         n_z = max(1, round(n * q_z))
         n_x = max(1, round(n * q_x))
@@ -428,7 +406,8 @@ def _sweep_mode(cfg: RunConfig) -> tuple[dict, list[str], list[list]]:
     assert cfg.sweep is not None
     rows = keyrate_rows(cfg)
     header = [cfg.sweep.axis, "eta", "e_ph_bar", "l"]
-    csv_rows = [[r["value"], r["eta"], r["e_ph_bar"], r["l"]] for r in rows]
+    # A row holds its grid value under "value", not under the axis name.
+    csv_rows = [[r["value"], *(r[c] for c in header[1:])] for r in rows]
     return {"axis": cfg.sweep.axis, "rows": rows}, header, csv_rows
 
 

@@ -235,10 +235,14 @@ class Transcript:
                     f"round records must be numbered 1, 2, ...; got {rec.index} at {position}"
                 )
             basis_a_type = Basis if rec.detected else type(None)
-            if not (isinstance(rec.basis_b, Basis) and isinstance(rec.basis_a, basis_a_type)):
+            if not (
+                isinstance(rec.detected, (bool, np.bool_))
+                and isinstance(rec.basis_b, Basis)
+                and isinstance(rec.basis_a, basis_a_type)
+            ):
                 raise ValidationError(
-                    f"round {position}: bases must be Basis members, with basis_a"
-                    f" exactly when detected; got {rec!r}"
+                    f"round {position}: detected must be a bool and bases Basis members,"
+                    f" with basis_a exactly when detected; got {rec!r}"
                 )
             self.detected.append(1 if rec.detected else 0)
             self.basis_b.append(rec.basis_b.value)

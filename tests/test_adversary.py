@@ -311,6 +311,8 @@ def test_strategy_from_dict_rejects_garbage():
         strategy_from_dict({"kind": "depolarizing", "wat": 1})
     with pytest.raises(ConfigError):
         strategy_from_dict("depolarizing")
+    with pytest.raises(ConfigError, match="unknown strategy configuration"):
+        make_strategy(object())
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 0.9))

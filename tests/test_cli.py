@@ -174,6 +174,19 @@ def test_bias_mode_requires_a_rule():
         config_from_dict(dict(MINIMAL, mode="bias"))
 
 
+def test_run_config_refuses_a_bad_mode_format_or_missing_sweep():
+    cfg = config_from_dict(MINIMAL)
+    for field, value, match in (
+        ("mode", "x", "mode must be one of"),
+        ("output_format", "xml", "output_format must be"),
+        ("mode", "keyrate-sweep", "requires a sweep spec"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            dataclasses.replace(cfg, **{field: value})
+    with pytest.raises(ParseError, match="must be an array"):
+        config_from_dict(dict(MINIMAL, sweep={"axis": "delta", "values": 0.01}))
+
+
 def test_rule_from_dict_errors():
     with pytest.raises(ParseError, match="kind"):
         rule_from_dict({"n": 4})
@@ -205,6 +218,18 @@ def test_sweep_spec_validation():
         with pytest.raises(ValidationError, match="finite real"):
             SweepSpec("delta", (0.0, bad))
     SweepSpec("delta", (0.0, 2**1024 - 2**970 - 1))  # float() rounds it into the range
+    # Each axis's limits are checked when the spec is built, naming the value.
+    for axis, values, match in (
+        ("q_ratio", (0, 1.0), "q_ratio sweep values must be > 0, got 0$"),
+        ("n_det_ter", (0, 8), "integers >= 1, got 0$"),
+        ("n_det_ter", (8, 10.5), "integers >= 1, got 10.5$"),
+        ("depolarizing_p", (0.0, 1.5), "in \\[0, 1\\], got 1.5$"),
+        ("depolarizing_p", (-0.5, 0.5), "in \\[0, 1\\], got -0.5$"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            SweepSpec(axis, values)
+    assert SweepSpec("n_det_ter", (1, 2.0)).values == (1, 2.0)
+    assert SweepSpec("depolarizing_p", (0, 1)).values == (0, 1)
 
 
 def test_config_round_trips_through_dict_and_file(tmp_path):
@@ -473,9 +498,12 @@ def test_sweep_value_validation():
     assert keyrate_rows(bad)[0]["l"] >= 0  # identity is allowed
     from qkd_sift.adversary import InterceptResend
 
-    worse = RunConfig(**{**cfg.__dict__, "strategy": InterceptResend()})
     with pytest.raises(ValidationError, match="keyrate-sweep requires"):
-        keyrate_rows(worse)
+        RunConfig(**{**cfg.__dict__, "strategy": InterceptResend()})
+    # A config of another mode is held to the sweep's rules too.
+    other = dataclasses.replace(cfg, mode="estimation", strategy=InterceptResend())
+    with pytest.raises(ValidationError, match="keyrate-sweep requires"):
+        keyrate_rows(other)
 
 
 # -- main() ------------------------------------------------------------------------

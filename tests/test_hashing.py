@@ -106,6 +106,8 @@ def test_toeplitz_degenerate_shapes():
     assert np.array_equal(out, np.zeros(3, np.uint8))
     with pytest.raises(DomainError):
         toeplitz_hash(np.ones(5, np.uint8), 3, np.ones(6, np.uint8))  # seed too short
+    with pytest.raises(DomainError, match="output length"):
+        toeplitz_hash(np.ones(5, np.uint8), -1, np.ones(3, np.uint8))
 
 
 # -- primality + polynomial tags ----------------------------------------------

@@ -34,6 +34,7 @@ from qkd_sift.errors import (
 from qkd_sift.protocol import (
     CountDetected,
     CountPerBasis,
+    FinalKeys,
     ProtocolParams,
     RoundRecord,
     SiftedData,
@@ -286,17 +287,25 @@ def test_transcript_view_round_trips_its_records():
     # The index is the position, so records must come numbered from 1.
     with pytest.raises(ValidationError):
         Transcript(_params(n=12), rounds=recs[1:])
-    # Alice's basis is announced exactly on detected rounds, and bases are Basis
-    # members: a record that breaks this would not come back from the view.
+    # Alice's basis is announced exactly on detected rounds, detections are
+    # bools and bases are Basis members: a record that breaks this would not
+    # come back from the view.
     for bad in (
         RoundRecord(1, True, Basis.Z, None),
         RoundRecord(1, True, "Z", Basis.Z),
         RoundRecord(1, True, Basis.Z, 0),
         RoundRecord(1, False, Basis.X, Basis.Z),
         RoundRecord(1, False, None, None),
+        RoundRecord(1, 2, Basis.Z, Basis.X),
+        RoundRecord(1, "no", Basis.Z, Basis.X),
+        RoundRecord(1, None, Basis.Z, None),
     ):
         with pytest.raises(ValidationError, match="round 1"):
             Transcript(_params(n=12), rounds=[bad])
+    numpy_bools = [
+        RoundRecord(1, np.True_, Basis.Z, Basis.X), RoundRecord(2, np.False_, Basis.X, None)
+    ]
+    assert list(Transcript(_params(n=12), rounds=numpy_bools).rounds) == numpy_bools
 
 
 def test_session_columns_agree_with_their_records():
@@ -1072,6 +1081,17 @@ def _synthetic_sifted(n_z, n_x, wt=0):
     return SiftedData(
         s_az=s_az, s_bz=s_az.copy(), s_ax=s_ax, s_bx=s_bx, n_z=n_z, n_x=n_x
     )
+
+
+def test_sifted_data_and_final_keys_refuse_mismatched_lengths():
+    z, x = np.zeros(3, np.uint8), np.zeros(2, np.uint8)
+    with pytest.raises(ValidationError, match="Z-string"):
+        SiftedData(s_az=z, s_bz=z[:2], s_ax=x, s_bx=x, n_z=3, n_x=2)
+    with pytest.raises(ValidationError, match="X-string"):
+        SiftedData(s_az=z, s_bz=z, s_ax=x, s_bx=x, n_z=3, n_x=3)
+    with pytest.raises(ValidationError, match="final key lengths"):
+        FinalKeys(f_az=z, f_bz=x, aborted=False, lambda_ec=0, meta={})
+    assert FinalKeys(f_az=z, f_bz=x, aborted=True, lambda_ec=0, meta={}).aborted
 
 
 def test_postprocess_distills_matching_keys_at_scale():

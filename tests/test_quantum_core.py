@@ -84,6 +84,13 @@ def test_from_matrix_rejects_bad_inputs():
         Density2.from_matrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eig
     with pytest.raises(DomainError):
         Density4.from_matrix(np.eye(4) * 0.5)  # trace 2
+    with pytest.raises(DomainError, match="expected 2x2"):
+        Density2.from_matrix(np.eye(3))
+
+
+def test_source_state_refuses_a_bit_that_is_not_0_or_1():
+    with pytest.raises(DomainError, match="bit must be 0 or 1"):
+        source_state(2, Basis.Z)
 
 
 @given(st.integers(0, 1), st.sampled_from([Basis.Z, Basis.X]))
@@ -114,6 +121,8 @@ def _random_kraus_pair(rng: np.random.Generator) -> ChannelOp:
 def test_channel_op_rejects_non_trace_preserving():
     with pytest.raises(DomainError):
         _op([I2 * 0.9])
+    with pytest.raises(DomainError, match="shape"):
+        _op([np.eye(3)])
 
 
 _NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -214,6 +223,17 @@ def test_detection_failure_element_is_basis_independent():
     povm = detection_povm(0.7)
     assert np.array_equal(povm.m0z + povm.m1z, povm.m0x + povm.m1x)
     assert np.allclose(povm.m_fail, 0.3 * I2, atol=1e-15)
+
+
+def test_bob_povm_rejects_bad_elements():
+    elements = {n: getattr(ideal_povm(), n) for n in ("m0z", "m1z", "m0x", "m1x", "m_fail")}
+    for name, bad, match in (
+        ("m0z", np.eye(3), "expected 2x2"),
+        ("m_fail", np.diag([0.1, -0.1]), "not positive semidefinite"),
+        ("m0x", elements["m0x"] / 2, "X-basis completeness"),
+    ):
+        with pytest.raises(DomainError, match=match):
+            BobPOVM(**{**elements, name: bad})
 
 
 def test_detection_povm_rejects_bad_efficiency():
@@ -341,6 +361,12 @@ def test_phase_error_clips_rounding_dust_below_zero_and_refuses_more(monkeypatch
     monkeypatch.setattr(quantum_core, "_tr_product", lambda a, b: -1e-6)
     with pytest.raises(NormalizationError, match="below 0"):
         prob_phase_error(bell_pair(), ideal_povm())
+
+
+def test_phase_error_refuses_a_state_that_is_not_normalized():
+    half = Density4.from_matrix(bell_pair().mat / 2)
+    with pytest.raises(NormalizationError, match="state trace"):
+        prob_phase_error(half, ideal_povm())
 
 
 def test_phase_error_agrees_with_conditional_projector_oracle():
